@@ -10,13 +10,16 @@
 //! The paper's Lemma 10 peeling tie-break (min `|N≤2|`, then min degree) is
 //! used to pick the next vertex; unlike the paper we do not *rely* on the
 //! lemma's "loses at most 1" claim for correctness — exact `|N≤2|` values
-//! are maintained through a common-neighbour multiplicity map, so removing a
-//! vertex that disconnects 2-hop paths decrements every affected count. The
-//! cost is `O(Σ deg² · log n)`, matching Lemma 9 up to the heap factor and
-//! common-neighbour multiplicity.
+//! are maintained through common-neighbour multiplicities, so removing a
+//! vertex that disconnects 2-hop paths decrements every affected count.
+//!
+//! The multiplicities live in per-vertex sorted 2-hop lists with a parallel
+//! count array, built with one dense scratch counter; a pair's count is
+//! found by binary search in either endpoint's list. The cost is
+//! `O(Σ deg² · log n)`, matching Lemma 9 up to the heap and search factors.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::graph::BipartiteGraph;
 
@@ -31,12 +34,6 @@ pub struct BicoreDecomposition {
     pub bidegeneracy: u32,
 }
 
-#[inline]
-fn pair_key(a: u32, b: u32) -> u64 {
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    ((hi as u64) << 32) | lo as u64
-}
-
 /// Runs the bicore decomposition (Algorithm 7).
 ///
 /// ```
@@ -47,21 +44,26 @@ fn pair_key(a: u32, b: u32) -> u64 {
 /// assert_eq!(d.bidegeneracy, 2);
 /// # Ok::<(), mbb_bigraph::graph::GraphError>(())
 /// ```
-#[allow(clippy::needless_range_loop)] // index loops mirror the array-based peeling
 pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
+    bicore_decomposition_until(graph, || false).expect("a peel that never stops finishes")
+}
+
+/// [`bicore_decomposition`] that can be abandoned part-way: `stop` is
+/// polled once per vertex while the 2-hop lists are built and once per
+/// peeled vertex, and the first `true` ends the run with `None`. Passing a
+/// sampled budget check (`|| budget.is_exhausted()`) bounds a deadline's
+/// overshoot by a few hundred vertices' work. A run that is not stopped
+/// returns exactly what [`bicore_decomposition`] returns.
+pub fn bicore_decomposition_until(
+    graph: &BipartiteGraph,
+    mut stop: impl FnMut() -> bool,
+) -> Option<BicoreDecomposition> {
     let nl = graph.num_left();
     let n = graph.num_vertices();
-    if n == 0 {
-        return BicoreDecomposition {
-            bicore: Vec::new(),
-            order: Vec::new(),
-            bidegeneracy: 0,
-        };
-    }
 
-    // Global-id adjacency accessor.
+    // Global-id adjacency: (opposite-side local ids, offset to globalise
+    // them).
     let neighbors_global = |g: usize| -> (&[u32], usize) {
-        // Returns (opposite-side local indices, offset to globalise them).
         if g < nl {
             (graph.neighbors_left(g as u32), nl)
         } else {
@@ -69,33 +71,59 @@ pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
         }
     };
 
-    // Common-neighbour multiplicities for same-side pairs at distance 2,
-    // plus the distinct 2-hop adjacency lists.
-    let mut cn: HashMap<u64, u32> = HashMap::new();
-    for mid in 0..n {
-        let (adj, offset) = neighbors_global(mid);
-        for i in 0..adj.len() {
-            for j in (i + 1)..adj.len() {
-                let a = adj[i] + offset as u32;
-                let b = adj[j] + offset as u32;
-                *cn.entry(pair_key(a, b)).or_insert(0) += 1;
+    // Same-side 2-hop lists: `two_hop[offsets[g]..offsets[g + 1]]` are the
+    // 2-hop neighbours of `g` in ascending order, and `common` holds each
+    // pair's count of surviving common neighbours. Every pair is stored
+    // once per endpoint, and both copies are kept equal while both
+    // endpoints survive.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0usize);
+    let mut two_hop: Vec<u32> = Vec::new();
+    let mut common: Vec<u32> = Vec::new();
+    let mut scratch = vec![0u32; n];
+    let mut touched: Vec<u32> = Vec::new();
+    for v in 0..n {
+        if stop() {
+            return None;
+        }
+        let (adj, offset) = neighbors_global(v);
+        for &mid in adj {
+            let (same, same_offset) = neighbors_global(mid as usize + offset);
+            for &w in same {
+                let w = w as usize + same_offset;
+                if w == v {
+                    continue;
+                }
+                if scratch[w] == 0 {
+                    touched.push(w as u32);
+                }
+                scratch[w] += 1;
             }
         }
+        touched.sort_unstable();
+        for &w in &touched {
+            two_hop.push(w);
+            common.push(std::mem::take(&mut scratch[w as usize]));
+        }
+        touched.clear();
+        offsets.push(two_hop.len());
     }
-    let mut two_hop_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &key in cn.keys() {
-        let a = (key & 0xffff_ffff) as u32;
-        let b = (key >> 32) as u32;
-        two_hop_adj[a as usize].push(b);
-        two_hop_adj[b as usize].push(a);
-    }
+    // Position of `w` in `v`'s 2-hop list; the pair is at distance 2.
+    let slot = |v: usize, w: u32| -> usize {
+        let start = offsets[v];
+        let list = &two_hop[start..offsets[v + 1]];
+        start + list.binary_search(&w).expect("pair at distance 2")
+    };
 
     let mut alive = vec![true; n];
     let mut deg: Vec<usize> = (0..n).map(|g| neighbors_global(g).0.len()).collect();
-    let mut n2count: Vec<usize> = two_hop_adj.iter().map(|v| v.len()).collect();
-    let mut nle2: Vec<usize> = (0..n).map(|g| deg[g] + n2count[g]).collect();
+    let mut nle2: Vec<usize> = (0..n)
+        .map(|g| deg[g] + offsets[g + 1] - offsets[g])
+        .collect();
 
     // Lazy min-heap keyed by (|N≤2|, degree) per Lemma 10's tie-break.
+    // Every live vertex has an entry with its current key; keys only
+    // shrink, so a popped entry that no longer matches is stale.
     let mut heap: BinaryHeap<Reverse<(usize, usize, u32)>> = (0..n)
         .map(|g| Reverse((nle2[g], deg[g], g as u32)))
         .collect();
@@ -103,12 +131,15 @@ pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
     let mut bicore = vec![0u32; n];
     let mut order = Vec::with_capacity(n);
     let mut running_max = 0u32;
-    let mut scratch_alive_neighbors: Vec<u32> = Vec::new();
+    let mut alive_neighbors: Vec<u32> = Vec::new();
 
     while let Some(Reverse((val, d, v))) = heap.pop() {
         let v = v as usize;
         if !alive[v] || val != nle2[v] || d != deg[v] {
             continue; // stale entry
+        }
+        if stop() {
+            return None;
         }
         alive[v] = false;
         running_max = running_max.max(nle2[v] as u32);
@@ -117,30 +148,21 @@ pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
 
         // 1. Direct neighbours lose v from N(·).
         let (adj, offset) = neighbors_global(v);
-        scratch_alive_neighbors.clear();
+        alive_neighbors.clear();
         for &w_local in adj {
             let w = w_local as usize + offset;
             if alive[w] {
-                scratch_alive_neighbors.push(w as u32);
+                alive_neighbors.push(w as u32);
+                deg[w] -= 1;
+                nle2[w] -= 1;
             }
-        }
-        for &w in &scratch_alive_neighbors {
-            let w = w as usize;
-            deg[w] -= 1;
-            nle2[w] -= 1;
-            heap.push(Reverse((nle2[w], deg[w], w as u32)));
         }
 
-        // 2. Same-side 2-hop neighbours lose v from N2(·).
-        for &w in &two_hop_adj[v] {
-            let w = w as usize;
-            if !alive[w] {
-                continue;
-            }
-            let key = pair_key(v as u32, w as u32);
-            if cn.get(&key).copied().unwrap_or(0) > 0 {
-                cn.remove(&key);
-                n2count[w] -= 1;
+        // 2. Same-side 2-hop neighbours lose v from N2(·). v's copies of
+        // its pair counts are current, and no pair with v is read again.
+        for i in offsets[v]..offsets[v + 1] {
+            let w = two_hop[i] as usize;
+            if alive[w] && common[i] > 0 {
                 nle2[w] -= 1;
                 heap.push(Reverse((nle2[w], deg[w], w as u32)));
             }
@@ -148,33 +170,29 @@ pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
 
         // 3. Pairs of v's surviving neighbours lose a common neighbour; a
         // pair whose count hits zero falls out of each other's N2.
-        for i in 0..scratch_alive_neighbors.len() {
-            for j in (i + 1)..scratch_alive_neighbors.len() {
-                let a = scratch_alive_neighbors[i];
-                let b = scratch_alive_neighbors[j];
-                let key = pair_key(a, b);
-                if let Some(count) = cn.get_mut(&key) {
-                    *count -= 1;
-                    if *count == 0 {
-                        cn.remove(&key);
-                        let (a, b) = (a as usize, b as usize);
-                        n2count[a] -= 1;
-                        nle2[a] -= 1;
-                        n2count[b] -= 1;
-                        nle2[b] -= 1;
-                        heap.push(Reverse((nle2[a], deg[a], a as u32)));
-                        heap.push(Reverse((nle2[b], deg[b], b as u32)));
-                    }
+        for (i, &a) in alive_neighbors.iter().enumerate() {
+            for &b in &alive_neighbors[i + 1..] {
+                let ab = slot(a as usize, b);
+                let ba = slot(b as usize, a);
+                common[ab] -= 1;
+                common[ba] -= 1;
+                if common[ab] == 0 {
+                    nle2[a as usize] -= 1;
+                    nle2[b as usize] -= 1;
                 }
             }
         }
+        for &w in &alive_neighbors {
+            let w = w as usize;
+            heap.push(Reverse((nle2[w], deg[w], w as u32)));
+        }
     }
 
-    BicoreDecomposition {
+    Some(BicoreDecomposition {
         bidegeneracy: running_max,
         bicore,
         order,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -242,6 +260,110 @@ mod tests {
             }
         }
         bicore
+    }
+
+    /// `|N(v)|` and `|N2(v)|` within the subgraph induced by `alive`.
+    fn live_degrees(graph: &BipartiteGraph, alive: &[bool], g: usize) -> (usize, usize) {
+        let nl = graph.num_left();
+        let v = graph.vertex_of_global(g);
+        let (opposite, same) = if g < nl { (nl, 0) } else { (0, nl) };
+        let mut two_hop = std::collections::HashSet::new();
+        let mut degree = 0;
+        for &mid in graph.neighbors(v) {
+            if !alive[mid as usize + opposite] {
+                continue;
+            }
+            degree += 1;
+            let mid_v = Vertex {
+                side: v.side.opposite(),
+                index: mid,
+            };
+            for &w in graph.neighbors(mid_v) {
+                if w != v.index && alive[w as usize + same] {
+                    two_hop.insert(w);
+                }
+            }
+        }
+        (degree + two_hop.len(), degree)
+    }
+
+    /// Replays a peel order against Definition 5 and Lemma 10's
+    /// tie-break, recomputing every `|N≤2|` from scratch: each peeled
+    /// vertex must carry the minimum `(|N≤2|, degree)` among the
+    /// survivors, and its bicore number the running maximum of the peeled
+    /// values.
+    fn assert_valid_peel(graph: &BipartiteGraph, d: &BicoreDecomposition) {
+        let n = graph.num_vertices();
+        let mut alive = vec![true; n];
+        let mut running_max = 0;
+        for &v in &d.order {
+            let v = v as usize;
+            assert!(alive[v], "vertex {v} peeled twice");
+            let key = live_degrees(graph, &alive, v);
+            let min = (0..n)
+                .filter(|&g| alive[g])
+                .map(|g| live_degrees(graph, &alive, g))
+                .min()
+                .unwrap();
+            assert_eq!(key, min, "vertex {v} is not a minimum survivor");
+            running_max = running_max.max(key.0 as u32);
+            assert_eq!(d.bicore[v], running_max, "bicore of {v}");
+            alive[v] = false;
+        }
+        assert!(alive.iter().all(|&a| !a), "order misses vertices");
+        assert_eq!(d.bidegeneracy, running_max);
+    }
+
+    #[test]
+    fn peel_order_satisfies_definition_5() {
+        for seed in 0..10 {
+            let g = generators::uniform_edges(9, 8, 24, seed);
+            let d = bicore_decomposition(&g);
+            assert_valid_peel(&g, &d);
+            assert_eq!(d.bicore, brute_bicore(&g), "seed {seed}");
+        }
+        for seed in 0..6 {
+            let g = generators::chung_lu_bipartite(
+                &generators::ChungLuParams {
+                    num_left: 14,
+                    num_right: 11,
+                    num_edges: 40,
+                    left_exponent: 0.8,
+                    right_exponent: 0.8,
+                },
+                seed,
+            );
+            let d = bicore_decomposition(&g);
+            assert_valid_peel(&g, &d);
+            assert_eq!(d.bicore, brute_bicore(&g), "chung-lu seed {seed}");
+        }
+    }
+
+    #[test]
+    fn stopped_peel_returns_none_and_unstopped_matches() {
+        let g = generators::uniform_edges(20, 20, 110, 4);
+        let full = bicore_decomposition(&g);
+        let mut polls = 0usize;
+        let until = bicore_decomposition_until(&g, || {
+            polls += 1;
+            false
+        })
+        .expect("never stopped");
+        assert_eq!(until.order, full.order);
+        assert_eq!(until.bicore, full.bicore);
+        // One poll per vertex while building, one per peeled vertex.
+        assert_eq!(polls, 2 * g.num_vertices());
+        for limit in [0, 5, g.num_vertices() + 3] {
+            let mut left = limit;
+            let stopped = bicore_decomposition_until(&g, || {
+                if left == 0 {
+                    return true;
+                }
+                left -= 1;
+                false
+            });
+            assert!(stopped.is_none(), "stop after {limit} polls");
+        }
     }
 
     #[test]

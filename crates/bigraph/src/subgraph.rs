@@ -89,36 +89,6 @@ pub fn induce_by_ids(
     }
 }
 
-/// Projects a total search order of a parent graph onto an induced
-/// subgraph: the subgraph's global ids, sorted by their parent's rank.
-///
-/// Vertex-centred decomposition is correct under *any* total order, so a
-/// session that cached an order for the full graph can restrict it to a
-/// reduced residual instead of recomputing a peel order from scratch —
-/// the index-reuse hook behind `MbbEngine`.
-///
-/// `parent_rank[g]` is the position of parent global id `g` in the parent
-/// order; `parent_num_left` is the parent's left-side size (global ids are
-/// left-then-right).
-pub fn project_order(
-    parent_rank: &[u32],
-    parent_num_left: usize,
-    sub: &InducedSubgraph,
-) -> Vec<u32> {
-    let nl = sub.graph.num_left();
-    let mut ids: Vec<u32> = (0..sub.graph.num_vertices() as u32).collect();
-    ids.sort_by_key(|&g| {
-        let g = g as usize;
-        let parent_global = if g < nl {
-            sub.left_ids[g] as usize
-        } else {
-            parent_num_left + sub.right_ids[g - nl] as usize
-        };
-        parent_rank[parent_global]
-    });
-    ids
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,39 +132,5 @@ mod tests {
         let s = induce_by_ids(&g, vec![], vec![]);
         assert_eq!(s.graph.num_vertices(), 0);
         assert_eq!(s.graph.num_edges(), 0);
-    }
-
-    #[test]
-    fn projected_order_is_a_rank_sorted_permutation() {
-        let g = generators::uniform_edges(10, 10, 45, 6);
-        // Parent order: reversed global ids.
-        let n = g.num_vertices();
-        let parent_order: Vec<u32> = (0..n as u32).rev().collect();
-        let mut parent_rank = vec![0u32; n];
-        for (i, &gid) in parent_order.iter().enumerate() {
-            parent_rank[gid as usize] = i as u32;
-        }
-        let s = induce_by_ids(&g, vec![1, 4, 7], vec![0, 2, 9]);
-        let projected = project_order(&parent_rank, g.num_left(), &s);
-        assert_eq!(projected.len(), s.graph.num_vertices());
-        // Permutation of the subgraph's global ids.
-        let mut sorted = projected.clone();
-        sorted.sort_unstable();
-        assert_eq!(
-            sorted,
-            (0..s.graph.num_vertices() as u32).collect::<Vec<_>>()
-        );
-        // Ranks strictly decrease in the parent order's reversal.
-        let parent_global = |g: u32| {
-            let g = g as usize;
-            if g < s.graph.num_left() {
-                s.left_ids[g] as usize
-            } else {
-                10 + s.right_ids[g - s.graph.num_left()] as usize
-            }
-        };
-        for w in projected.windows(2) {
-            assert!(parent_rank[parent_global(w[0])] < parent_rank[parent_global(w[1])]);
-        }
     }
 }

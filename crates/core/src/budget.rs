@@ -37,9 +37,12 @@
 //! * coarse boundaries (stage transitions, per-centre and per-subgraph
 //!   loops, parallel-pool entry) call [`SearchBudget::probe`] directly,
 //!   which is unsampled, so expiry between stages is detected immediately;
-//! * polynomial passes (the stage-1 heuristic, index builds, per-subgraph
-//!   core reductions) do not check at all and run to completion — the
-//!   worst-case overshoot of a whole query adds one such pass.
+//! * the residual bicore peel checks once per vertex, so a stopped peel
+//!   overshoots by at most `PROBE_INTERVAL` vertices' work;
+//! * three polynomial passes (the stage-1 heuristic, the two-hop index
+//!   build, per-subgraph core reductions) do not check at all and run to
+//!   completion — the worst-case overshoot of a whole query adds one such
+//!   pass.
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;

@@ -12,9 +12,13 @@
 //! [`MbbEngine`] owns the CSR graph plus that shared state, computed
 //! lazily on first use and cached for the session:
 //!
-//! * the total **search order** for the configured [`SearchOrder`]
-//!   (projected onto each solve's reduced residual instead of re-peeled);
-//! * the **bicore decomposition** (bidegeneracy order + δ̈);
+//! * the **residual order**: the total order for the configured
+//!   [`SearchOrder`] over the Lemma 4-reduced residual that stage 1 leaves
+//!   behind, plus the residual's δ̈. Algorithm 4 peels that residual, never
+//!   the session graph, and so does the engine: the first solve that
+//!   reaches stage 2 peels it under its own budget, every later solve
+//!   reuses it, and a solve that stage 1 settles never builds it. A peel
+//!   the budget stops is discarded, never cached;
 //! * the **two-hop index** (materialised once anchored queries repeat).
 //!
 //! Every query goes through one builder with shared budget plumbing:
@@ -22,6 +26,7 @@
 //! ```
 //! use std::time::Duration;
 //! use mbb_core::engine::MbbEngine;
+//! use mbb_core::Stage;
 //!
 //! let graph = mbb_bigraph::generators::uniform_edges(50, 50, 300, 7);
 //! let engine = MbbEngine::new(graph);
@@ -32,10 +37,12 @@
 //!     .solve();
 //! assert!(result.termination.is_complete());
 //! assert!(result.value.is_valid(engine.graph()));
-//! // A second query reuses the cached order instead of recomputing it.
+//! // Stage 1 did not settle this graph, so the solve peeled the residual;
+//! // a second query reuses that order instead of recomputing it.
+//! assert_ne!(result.stats.stage, Stage::S1);
 //! let again = engine.query().solve();
 //! assert_eq!(again.stats.index.orders_computed, 1);
-//! assert!(again.stats.index.orders_reused >= 1);
+//! assert_eq!(again.stats.index.orders_reused, 1);
 //! ```
 //!
 //! All nine query kinds return a [`QueryResult`]: the typed payload, a
@@ -48,9 +55,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use mbb_bigraph::bicore::{bicore_decomposition, BicoreDecomposition};
 use mbb_bigraph::graph::{BipartiteGraph, Vertex};
-use mbb_bigraph::order::{compute_order, SearchOrder};
+use mbb_bigraph::order::SearchOrder;
 use mbb_bigraph::two_hop::TwoHopIndex;
 
 use crate::anchored::{anchored_budgeted, anchored_edge_budgeted};
@@ -60,7 +66,7 @@ use crate::enumerate::{enumerate_budgeted, EnumConfig, EnumOutcome, MaximalBicli
 use crate::frontier::SizeFrontier;
 use crate::meb::{maximum_edge_biclique_budgeted, EdgeBiclique};
 use crate::size_constrained::{find_size_constrained_budgeted, SizeConstrainedBiclique};
-use crate::solver::{MbbSolver, SessionOrder, SolverConfig};
+use crate::solver::{MbbSolver, OrderUse, ResidualOrder, SolverConfig};
 use crate::stats::{IndexStats, SolveStats};
 use crate::topk::topk_budgeted;
 use crate::verify::ParallelMode;
@@ -90,14 +96,6 @@ pub struct Enumeration {
     pub outcome: EnumOutcome,
 }
 
-/// Cached session order: the permutation, its rank table, and the session
-/// graph's bidegeneracy when the order is [`SearchOrder::Bidegeneracy`].
-#[derive(Debug)]
-struct OrderIndex {
-    rank: Vec<u32>,
-    bidegeneracy: u32,
-}
-
 #[derive(Debug, Default)]
 struct Counters {
     orders_computed: AtomicU64,
@@ -108,6 +106,14 @@ struct Counters {
     two_hops_reused: AtomicU64,
     preprocess_nanos: AtomicU64,
     anchored_queries: AtomicU64,
+}
+
+/// Counts one event on a session statistics counter.
+fn bump(counter: &AtomicU64) {
+    // relaxed: monotonic statistics counter, read only by index_stats
+    // reporting; the cached indices are published by their OnceLocks, not
+    // by these increments.
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// A query session over one bipartite graph. Build once per graph, run
@@ -125,8 +131,7 @@ pub struct MbbEngine {
     config: SolverConfig,
     // Each cached index is Arc-wrapped so `fork` can share an already
     // materialised index across sessions without re-deriving it.
-    order: OnceLock<Arc<OrderIndex>>,
-    bicore: OnceLock<Arc<BicoreDecomposition>>,
+    residual: OnceLock<Arc<ResidualOrder>>,
     two_hop: OnceLock<Arc<TwoHopIndex>>,
     counters: Counters,
 }
@@ -149,8 +154,7 @@ impl MbbEngine {
         MbbEngine {
             graph,
             config,
-            order: OnceLock::new(),
-            bicore: OnceLock::new(),
+            residual: OnceLock::new(),
             two_hop: OnceLock::new(),
             counters: Counters::default(),
         }
@@ -170,9 +174,12 @@ impl MbbEngine {
     ///
     /// ```
     /// use mbb_core::engine::MbbEngine;
+    /// use mbb_core::Stage;
     /// let graph = mbb_bigraph::generators::uniform_edges(30, 30, 140, 5);
     /// let parent = MbbEngine::new(graph);
     /// let warm = parent.solve();
+    /// // Stage 2 ran, so the parent holds the peeled residual order.
+    /// assert_ne!(warm.stats.stage, Stage::S1);
     /// let fork = parent.fork();
     /// let again = fork.solve();
     /// assert_eq!(again.value.half_size(), warm.value.half_size());
@@ -182,11 +189,8 @@ impl MbbEngine {
     /// ```
     pub fn fork(&self) -> MbbEngine {
         let fork = MbbEngine::from_arc(Arc::clone(&self.graph), self.config);
-        if let Some(cached) = self.order.get() {
-            let _ = fork.order.set(Arc::clone(cached));
-        }
-        if let Some(cached) = self.bicore.get() {
-            let _ = fork.bicore.set(Arc::clone(cached));
+        if let Some(cached) = self.residual.get() {
+            let _ = fork.residual.set(Arc::clone(cached));
         }
         if let Some(cached) = self.two_hop.get() {
             let _ = fork.two_hop.set(Arc::clone(cached));
@@ -290,64 +294,32 @@ impl MbbEngine {
         self.query().enumerate(config)
     }
 
-    // ---- Cached index accessors. ----
+    // ---- Cached index bookkeeping. ----
 
-    fn bicore(&self) -> &BicoreDecomposition {
-        if let Some(cached) = self.bicore.get() {
-            // relaxed: monotonic statistics counter; nothing reads it for
-            // synchronisation (the index itself synchronises via OnceLock).
-            self.counters.bicores_reused.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
-        self.bicore.get_or_init(|| {
-            let _span = mbb_obs::span(mbb_obs::Stage::PreprocessBicore);
-            let start = Instant::now();
-            let decomposition = bicore_decomposition(&self.graph);
-            self.note_preprocess(start);
-            // relaxed: monotonic statistics counter (see above).
-            self.counters
-                .bicores_computed
-                .fetch_add(1, Ordering::Relaxed);
-            Arc::new(decomposition)
-        })
-    }
-
-    fn order_index(&self) -> &OrderIndex {
-        if let Some(cached) = self.order.get() {
-            // relaxed: monotonic statistics counter; the cached index is
-            // published by OnceLock, not by this increment.
-            self.counters.orders_reused.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
-        self.order.get_or_init(|| {
-            let _span = mbb_obs::span(mbb_obs::Stage::PreprocessOrder);
-            // The bidegeneracy order *is* the bicore peel order: derive it
-            // from the cached decomposition instead of re-peeling. Timing
-            // starts after that call — bicore() records its own build.
-            let (order, bidegeneracy) = match self.config.order {
-                SearchOrder::Bidegeneracy => {
-                    let bicore = self.bicore();
-                    (bicore.order.clone(), bicore.bidegeneracy)
+    /// Books how a solve came by its residual order. Under the
+    /// bidegeneracy order the order *is* the bicore peel, so the bicore
+    /// counters move with the order counters.
+    fn note_order_use(&self, used: OrderUse) {
+        let peels_bicore = self.config.order == SearchOrder::Bidegeneracy;
+        let counters = &self.counters;
+        match used {
+            OrderUse::Unneeded => {}
+            OrderUse::Reused => {
+                bump(&counters.orders_reused);
+                if peels_bicore {
+                    bump(&counters.bicores_reused);
                 }
-                other => {
-                    let start = Instant::now();
-                    let order = compute_order(&self.graph, other);
-                    self.note_preprocess(start);
-                    (order, 0)
-                }
-            };
-            let start = Instant::now();
-            let mut rank = vec![0u32; order.len()];
-            for (i, &g) in order.iter().enumerate() {
-                rank[g as usize] = i as u32;
             }
-            self.note_preprocess(start);
-            // relaxed: monotonic statistics counter (see above).
-            self.counters
-                .orders_computed
-                .fetch_add(1, Ordering::Relaxed);
-            Arc::new(OrderIndex { rank, bidegeneracy })
-        })
+            OrderUse::Peeled { spent, finished } => {
+                self.note_preprocess(spent);
+                if finished {
+                    bump(&counters.orders_computed);
+                    if peels_bicore {
+                        bump(&counters.bicores_computed);
+                    }
+                }
+            }
+        }
     }
 
     /// The two-hop index, materialised adaptively: the first anchored
@@ -364,10 +336,7 @@ impl MbbEngine {
             .anchored_queries
             .fetch_add(1, Ordering::Relaxed);
         if let Some(cached) = self.two_hop.get() {
-            // relaxed: monotonic statistics counter.
-            self.counters
-                .two_hops_reused
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.two_hops_reused);
             return Some(&**cached);
         }
         if prior == 0 {
@@ -377,21 +346,18 @@ impl MbbEngine {
             let _span = mbb_obs::span(mbb_obs::Stage::PreprocessTwoHop);
             let start = Instant::now();
             let index = TwoHopIndex::build(&self.graph);
-            self.note_preprocess(start);
-            // relaxed: monotonic statistics counter.
-            self.counters
-                .two_hops_computed
-                .fetch_add(1, Ordering::Relaxed);
+            self.note_preprocess(start.elapsed());
+            bump(&self.counters.two_hops_computed);
             Arc::new(index)
         }))
     }
 
-    fn note_preprocess(&self, start: Instant) {
+    fn note_preprocess(&self, spent: Duration) {
         // relaxed: monotonic nanosecond tally, read only by index_stats
         // reporting; no ordering contract with the work it timed.
         self.counters
             .preprocess_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            .fetch_add(spent.as_nanos() as u64, Ordering::Relaxed);
     }
 
     fn finish<T>(&self, value: T, mut stats: SolveStats, budget: &SearchBudget) -> QueryResult<T> {
@@ -419,9 +385,11 @@ pub struct QueryBuilder<'e> {
 impl<'e> QueryBuilder<'e> {
     /// Abandon the search `limit` from now, returning the best so far
     /// with [`Termination::DeadlineExceeded`]. The budget is checked per
-    /// search node inside the exponential phases; polynomial
-    /// preprocessing (the stage-1 heuristic, cached-index builds) is not
-    /// interrupted, so the worst-case overshoot includes one such pass.
+    /// search node inside the exponential phases and per vertex of the
+    /// residual bicore peel. Three polynomial passes run to completion:
+    /// the stage-1 heuristic, the two-hop index build and the
+    /// per-subgraph core reductions, so the worst-case overshoot includes
+    /// one such pass.
     pub fn deadline(mut self, limit: Duration) -> Self {
         self.deadline = Some(Instant::now() + limit);
         self
@@ -478,7 +446,8 @@ impl<'e> QueryBuilder<'e> {
     // ---- Terminal methods: the nine query kinds. ----
 
     /// The maximum balanced biclique of the session graph (the `hbvMBB`
-    /// framework, Algorithm 4), reusing the session's cached order.
+    /// framework, Algorithm 4). Stage 1 runs first; the session's residual
+    /// order is read, or built and cached, only if stage 2 runs.
     pub fn solve(self) -> QueryResult<Biclique> {
         let engine = self.engine;
         let budget = self.budget();
@@ -489,17 +458,13 @@ impl<'e> QueryBuilder<'e> {
         if let Some(mode) = self.parallel_mode {
             config.parallel_mode = mode;
         }
-        let order = engine.order_index();
-        let session = SessionOrder {
-            rank: &order.rank,
-            bidegeneracy: order.bidegeneracy,
-        };
-        let result = MbbSolver::with_config(config).solve_session(
+        let (result, order_use) = MbbSolver::with_config(config).solve_session(
             &engine.graph,
             self.incumbent,
             &budget,
-            Some(session),
+            Some(&engine.residual),
         );
+        engine.note_order_use(order_use);
         engine.finish(result.biclique, result.stats, &budget)
     }
 
@@ -615,6 +580,7 @@ impl<'e> QueryBuilder<'e> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Stage;
     use mbb_bigraph::generators;
 
     #[test]
@@ -627,6 +593,8 @@ mod tests {
         assert!(solved.termination.is_complete());
         assert!(top.termination.is_complete());
         assert!(anchored.termination.is_complete());
+        // Stage 2 ran, so the solve peeled the residual.
+        assert_ne!(solved.stats.stage, Stage::S1);
         // The acceptance bar: one order, one bicore for the whole session.
         let index = anchored.stats.index;
         assert_eq!(index.orders_computed, 1);
@@ -653,9 +621,10 @@ mod tests {
 
     #[test]
     fn fork_shares_materialised_indices() {
-        let g = generators::uniform_edges(25, 25, 120, 4);
+        let g = generators::uniform_edges(25, 25, 120, 13);
         let engine = MbbEngine::new(g);
         let warm = engine.solve();
+        assert_ne!(warm.stats.stage, Stage::S1);
         let _ = engine.anchored(Vertex::left(0));
         let _ = engine.anchored(Vertex::left(1)); // materialises two-hop
 
@@ -681,6 +650,7 @@ mod tests {
         let engine = MbbEngine::new(g);
         let fork = engine.fork();
         let solved = fork.solve();
+        assert_ne!(solved.stats.stage, Stage::S1);
         // Nothing was materialised in the parent, so the fork computes
         // its own order exactly once.
         assert_eq!(solved.stats.index.orders_computed, 1);
@@ -700,6 +670,11 @@ mod tests {
                 "seed {seed}"
             );
             assert!(session.value.is_valid(engine.graph()));
+            // Both paths peel the same residual, so they report its δ̈.
+            assert_eq!(
+                session.stats.bidegeneracy, fresh.stats.bidegeneracy,
+                "seed {seed}"
+            );
         }
     }
 

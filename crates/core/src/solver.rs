@@ -2,15 +2,16 @@
 //! large sparse bipartite graphs, with every ablation of Table 3 exposed
 //! through [`SolverConfig`].
 
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use mbb_obs as obs;
 
-use mbb_bigraph::bicore::bicore_decomposition;
+use mbb_bigraph::bicore::bicore_decomposition_until;
 use mbb_bigraph::graph::BipartiteGraph;
 use mbb_bigraph::local::LocalGraph;
 use mbb_bigraph::order::{compute_order, SearchOrder};
-use mbb_bigraph::subgraph::{project_order, InducedSubgraph};
+use mbb_bigraph::subgraph::InducedSubgraph;
 
 use crate::biclique::Biclique;
 use crate::bridge::{bridge_mbb_budgeted, BridgeConfig};
@@ -31,18 +32,83 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// A cached search order shared by an engine session: the rank of every
-/// session-graph global id under the session's total order, plus the
-/// session graph's bidegeneracy. The solver projects the rank onto the
-/// Lemma 4-reduced residual instead of recomputing a peel order — vertex-
-/// centred decomposition is correct under any total order, so this trades
-/// nothing but the (re-)peeling cost.
+/// The search order of a Lemma 4-reduced residual (Algorithm 4 computes
+/// it after stage 1, on what stage 1 leaves behind) and the residual's δ̈
+/// (0 unless the order is [`SearchOrder::Bidegeneracy`]). An engine
+/// session caches one: `hmbb` is deterministic, so every solve on a
+/// session reduces to the same residual, whose vertices `left_ids` and
+/// `right_ids` record.
+#[derive(Debug)]
+pub(crate) struct ResidualOrder {
+    left_ids: Vec<u32>,
+    right_ids: Vec<u32>,
+    order: Vec<u32>,
+    bidegeneracy: u32,
+}
+
+/// How a solve came by its residual order; an engine turns this into its
+/// index counters.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SessionOrder<'a> {
-    /// `rank[g]` = position of session global id `g` in the cached order.
-    pub rank: &'a [u32],
-    /// δ̈ of the session graph (0 unless the order is bidegeneracy).
-    pub bidegeneracy: u32,
+pub(crate) enum OrderUse {
+    /// Stage 2 never ran, so no order was needed.
+    Unneeded,
+    /// Served from the session cache.
+    Reused,
+    /// Peeled by this solve; `finished` is false when the budget stopped
+    /// the peel.
+    Peeled { spent: Duration, finished: bool },
+}
+
+/// The residual's order: the session's cached one when it was built for
+/// this residual, otherwise one peel of the residual for both the order
+/// and δ̈. The bicore peel polls `budget`; a peel that finishes fills the
+/// cache, one the budget stops yields `None`.
+fn residual_order(
+    cache: Option<&OnceLock<Arc<ResidualOrder>>>,
+    reduced: &InducedSubgraph,
+    order: SearchOrder,
+    budget: &SearchBudget,
+) -> (Option<Arc<ResidualOrder>>, OrderUse) {
+    if let Some(cached) = cache.and_then(OnceLock::get) {
+        let fits = cached.left_ids == reduced.left_ids && cached.right_ids == reduced.right_ids;
+        debug_assert!(
+            fits,
+            "every solve on a session reduces to the same residual"
+        );
+        if fits {
+            return (Some(Arc::clone(cached)), OrderUse::Reused);
+        }
+    }
+    // mbb-lint: allow(hot-clock) one timing per residual peel, outside the search loops
+    let start = Instant::now();
+    let peeled = {
+        let _span = obs::span(obs::Stage::PreprocessOrder);
+        match order {
+            SearchOrder::Bidegeneracy => {
+                let _span = obs::span(obs::Stage::PreprocessBicore);
+                let mut budget = budget.clone();
+                bicore_decomposition_until(&reduced.graph, || budget.is_exhausted())
+                    .map(|peel| (peel.order, peel.bidegeneracy))
+            }
+            other => Some((compute_order(&reduced.graph, other), 0)),
+        }
+    };
+    let spent = start.elapsed();
+    let built = peeled.map(|(order, bidegeneracy)| {
+        Arc::new(ResidualOrder {
+            left_ids: reduced.left_ids.clone(),
+            right_ids: reduced.right_ids.clone(),
+            order,
+            bidegeneracy,
+        })
+    });
+    if let (Some(cache), Some(built)) = (cache, &built) {
+        // A concurrent solve may have filled the cache with the same
+        // order first; either copy serves.
+        let _ = cache.set(Arc::clone(built));
+    }
+    let finished = built.is_some();
+    (built, OrderUse::Peeled { spent, finished })
 }
 
 /// Configuration of the `hbvMBB` framework. The defaults are the paper's
@@ -186,20 +252,23 @@ impl MbbSolver {
     /// `graph`.
     pub fn solve_with_incumbent(&self, graph: &BipartiteGraph, incumbent: Biclique) -> SolveResult {
         self.solve_session(graph, incumbent, &SearchBudget::unlimited(), None)
+            .0
     }
 
     /// The full-control entry point behind the engine: warm start,
     /// [`SearchBudget`] (deadline / cancellation, checked at stage
-    /// boundaries, per bridged centre and per `denseMBB` node), and an
-    /// optional cached session order. With an unlimited budget and no
-    /// session this is exactly [`solve_with_incumbent`](Self::solve_with_incumbent).
+    /// boundaries, per peeled residual vertex, per bridged centre and per
+    /// `denseMBB` node), and an optional session cache for the residual
+    /// order, read and filled only if stage 2 runs. With an unlimited
+    /// budget and no cache this is exactly
+    /// [`solve_with_incumbent`](Self::solve_with_incumbent).
     pub(crate) fn solve_session(
         &self,
         graph: &BipartiteGraph,
         incumbent: Biclique,
         budget: &SearchBudget,
-        session: Option<SessionOrder<'_>>,
-    ) -> SolveResult {
+        cache: Option<&OnceLock<Arc<ResidualOrder>>>,
+    ) -> (SolveResult, OrderUse) {
         assert!(
             incumbent.is_empty() || incumbent.is_valid(graph),
             "warm-start incumbent must be a balanced biclique of the graph"
@@ -225,10 +294,11 @@ impl MbbSolver {
                 let stage1_end = Instant::now();
                 stats.stage_seconds[0] = (stage1_end - stage1_start).as_secs_f64();
                 obs::record(obs::Stage::SolveHeuristic, stage1_start, stage1_end);
-                return SolveResult {
+                let result = SolveResult {
                     biclique: outcome.best,
                     stats,
                 };
+                return (result, OrderUse::Unneeded);
             }
             let best = if incumbent.half_size() > outcome.best.half_size() {
                 incumbent
@@ -251,28 +321,33 @@ impl MbbSolver {
             stats.stage = Stage::S1;
             stats.heuristic_local_half = best.half_size();
             stats.optimum_half = best.half_size();
-            return SolveResult {
+            let result = SolveResult {
                 biclique: best,
                 stats,
             };
+            return (result, OrderUse::Unneeded);
         }
 
         // ---- Step 2: bridge to maximality (Algorithms 6 and 7). ----
         // mbb-lint: allow(hot-clock) per-stage timing, taken once per solve outside the search loops
         let stage2_start = Instant::now();
-        let order = match session {
-            // Session path: restrict the cached full-graph order to the
-            // residual instead of re-peeling it.
-            Some(shared) => project_order(shared.rank, graph.num_left(), &reduced),
-            None => compute_order(&reduced.graph, config.order),
-        };
-        if config.order == SearchOrder::Bidegeneracy {
-            stats.bidegeneracy = match session {
-                // The session δ̈ bounds the residual's δ̈ from above.
-                Some(shared) => shared.bidegeneracy,
-                None => bicore_decomposition(&reduced.graph).bidegeneracy,
+        let (order, order_use) = residual_order(cache, &reduced, config.order, budget);
+        let Some(order) = order else {
+            // The budget ran out mid-peel: report stage 1's best.
+            stats.stage = Stage::S1;
+            stats.heuristic_local_half = best.half_size();
+            stats.optimum_half = best.half_size();
+            // mbb-lint: allow(hot-clock) stage-boundary timestamp, shared by stats and the obs span
+            let stage2_end = Instant::now();
+            stats.stage_seconds[1] = (stage2_end - stage2_start).as_secs_f64();
+            obs::record(obs::Stage::SolveBridge, stage2_start, stage2_end);
+            let result = SolveResult {
+                biclique: best,
+                stats,
             };
-        }
+            return (result, order_use);
+        };
+        stats.bidegeneracy = order.bidegeneracy;
         // Translate the incumbent into reduced-graph ids for local pruning;
         // its vertices may have been reduced away, but only its *size*
         // matters for pruning, so a placeholder of equal size suffices.
@@ -282,7 +357,7 @@ impl MbbSolver {
         };
         let bridged = bridge_mbb_budgeted(
             &reduced.graph,
-            &order,
+            &order.order,
             incumbent_local,
             BridgeConfig {
                 use_core_pruning: config.use_core_optimizations,
@@ -308,10 +383,11 @@ impl MbbSolver {
         if bridged.survivors.is_empty() || budget.probe() {
             stats.stage = Stage::S2;
             stats.optimum_half = best.half_size();
-            return SolveResult {
+            let result = SolveResult {
                 biclique: best,
                 stats,
             };
+            return (result, order_use);
         }
 
         // ---- Step 3: maximality verification (Algorithm 8). ----
@@ -348,10 +424,11 @@ impl MbbSolver {
         let stage3_end = Instant::now();
         stats.stage_seconds[2] = (stage3_end - stage3_start).as_secs_f64();
         obs::record(obs::Stage::SolveVerify, stage3_start, stage3_end);
-        SolveResult {
+        let result = SolveResult {
             biclique: best,
             stats,
-        }
+        };
+        (result, order_use)
     }
 }
 

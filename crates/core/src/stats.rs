@@ -95,19 +95,24 @@ impl std::fmt::Display for Stage {
 /// everything at zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct IndexStats {
-    /// Search orders computed from scratch this session.
+    /// Residual search orders computed from scratch this session (only
+    /// solves that reach stage 2 need one; a peel the budget stopped is
+    /// not counted).
     pub orders_computed: u64,
-    /// Queries served from the cached search order.
+    /// Solves served from the cached residual order.
     pub orders_reused: u64,
-    /// Bicore decompositions computed from scratch this session.
+    /// Residual bicore peels computed from scratch this session (under
+    /// the bidegeneracy order the peel yields the order, so this moves
+    /// with `orders_computed`; other orders peel no bicores).
     pub bicores_computed: u64,
-    /// Queries served from the cached bicore decomposition.
+    /// Solves served from the cached residual bicore peel.
     pub bicores_reused: u64,
     /// Two-hop indices computed from scratch this session.
     pub two_hops_computed: u64,
     /// Queries served from the cached two-hop index.
     pub two_hops_reused: u64,
-    /// Total seconds spent building cached indices this session.
+    /// Total seconds spent building cached indices this session,
+    /// including residual peels the budget stopped.
     pub preprocess_seconds: f64,
 }
 
@@ -118,12 +123,11 @@ pub struct SolveStats {
     pub stage: Stage,
     /// Degeneracy `δ` of the (reduced) graph, if computed.
     pub degeneracy: u32,
-    /// Bidegeneracy `δ̈` under the bidegeneracy order (0 otherwise): the
-    /// Lemma 4-reduced residual's `δ̈` for a fresh
-    /// [`MbbSolver`](crate::solver::MbbSolver) solve,
-    /// or the *session graph's* cached `δ̈` (an upper bound on the
-    /// residual's) when solving through an `MbbEngine`, which reuses its
-    /// decomposition instead of re-peeling the residual.
+    /// Bidegeneracy `δ̈` of the Lemma 4-reduced residual under the
+    /// bidegeneracy order; 0 under the other orders and when stage 2
+    /// never ran. A fresh [`MbbSolver`](crate::solver::MbbSolver) solve
+    /// and an `MbbEngine` solve report the same value: both peel, or
+    /// reuse a peel of, that residual.
     pub bidegeneracy: u32,
     /// Half-size found by the global heuristic (`heuGlobal` of Figure 4).
     pub heuristic_global_half: usize,

@@ -508,8 +508,10 @@ pub struct ShardBatchStats {
     pub requests: usize,
     /// Search nodes explored by those requests.
     pub search_nodes: u64,
-    /// Cached-index reuse hits (order + bicore + two-hop) this batch
-    /// scored on this shard's engine session.
+    /// Cached-index reuse hits (residual order + two-hop) this batch
+    /// scored on this shard's engine session. The residual bicore peel
+    /// is the order's cache entry, so its reuse counts once, as an order
+    /// reuse.
     pub index_reuse_hits: u64,
 }
 
@@ -544,14 +546,16 @@ pub struct BatchStats {
 /// use mbb_serve::{BatchExecutor, QueryKind, QueryRequest, ShardedFleet};
 ///
 /// let mut fleet = ShardedFleet::new();
-/// fleet.add_shard("only", mbb_bigraph::generators::uniform_edges(12, 12, 55, 9))?;
+/// fleet.add_shard("only", mbb_bigraph::generators::uniform_edges(12, 12, 60, 2))?;
 /// let executor = BatchExecutor::new(fleet, 1);
 /// let report = executor.run_batch(vec![
 ///     QueryRequest::new(0, QueryKind::Solve).on_graph("only"),
 ///     QueryRequest::new(1, QueryKind::Solve).on_graph("only"),
 /// ]);
-/// // The second solve reused the session's cached order: that is the
-/// // amortisation a batch buys, and the report shows it.
+/// // Stage 1 did not settle the graph, so the first solve built the
+/// // residual order and the second reused it: that is the amortisation
+/// // a batch buys, and the report shows it.
+/// assert_ne!(report.responses[0].stats.stage, mbb_core::Stage::S1);
 /// assert!(report.stats.index_reuse_hits >= 1);
 /// assert_eq!(report.stats.per_shard[0].requests, 2);
 /// assert_eq!(report.stats.rejected, 0);
@@ -604,7 +608,6 @@ impl BatchReport {
                     requests,
                     search_nodes,
                     index_reuse_hits: reuse(b.orders_reused, a.orders_reused)
-                        + reuse(b.bicores_reused, a.bicores_reused)
                         + reuse(b.two_hops_reused, a.two_hops_reused),
                 }
             })
@@ -742,7 +745,13 @@ mod tests {
 
     #[test]
     fn executor_survives_multiple_batches() {
-        let executor = BatchExecutor::new(small_fleet(), 2);
+        // Stage 2 runs on this graph, so the first solve builds the
+        // residual order that the second one reuses.
+        let mut fleet = ShardedFleet::new();
+        fleet
+            .add_shard("a", generators::uniform_edges(12, 12, 60, 2))
+            .unwrap();
+        let executor = BatchExecutor::new(fleet, 2);
         let first = executor.run_batch(vec![QueryRequest::new(0, QueryKind::Solve).on_graph("a")]);
         let second = executor.run_batch(vec![QueryRequest::new(1, QueryKind::Solve).on_graph("a")]);
         assert_eq!(
@@ -750,6 +759,7 @@ mod tests {
             second.responses[0].outcome.headline_size()
         );
         // The second batch reused the indices the first one built.
+        assert_ne!(first.responses[0].stats.stage, mbb_core::Stage::S1);
         assert!(second.stats.index_reuse_hits >= 1);
     }
 

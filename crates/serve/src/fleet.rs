@@ -468,7 +468,8 @@ mod tests {
 
         // Reloading the unchanged source forks the warm session instead.
         let warm = fleet.engine(0);
-        warm.solve(); // warm the order cache
+        // Stage 2 runs on this graph, so the solve warms the order cache.
+        assert_ne!(warm.solve().stats.stage, mbb_core::Stage::S1);
         let (_, forked) = fleet
             .reload_shard_from_store("a", &store, path.to_str().unwrap())
             .unwrap();

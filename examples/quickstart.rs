@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use mbb_bigraph::graph::BipartiteGraph;
 use mbb_core::engine::MbbEngine;
+use mbb_core::Stage;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's Figure 1(b): users 1..6 on the left, items 7..12 on the
@@ -76,8 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("feasible size frontier: {:?}", frontier.value.pairs);
     assert_eq!(frontier.value.mbb_half(), 2);
 
-    // The session computed its search order exactly once across all three
-    // queries — the index-reuse counters prove it.
+    // Stage 1 settled this graph, so no query needed a search order and
+    // the session never peeled one: the engine builds the residual order
+    // only when a solve reaches stage 2. The index counters prove it.
     let index = engine.index_stats();
     println!(
         "session indices: {} order(s) computed, {} reuse(s), {:.1}ms preprocessing",
@@ -85,6 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         index.orders_reused,
         index.preprocess_seconds * 1e3
     );
-    assert_eq!(index.orders_computed, 1);
+    assert_eq!(result.stats.stage, Stage::S1);
+    assert_eq!(index.orders_computed, 0);
+    assert_eq!(index.preprocess_seconds, 0.0);
     Ok(())
 }

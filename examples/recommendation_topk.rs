@@ -19,6 +19,7 @@ use mbb_bigraph::graph::Vertex;
 use mbb_core::budget::SearchBudget;
 use mbb_core::engine::MbbEngine;
 use mbb_core::enumerate::{enumerate_budgeted, EnumConfig};
+use mbb_core::Stage;
 
 fn main() {
     // A synthetic store: 2 000 users, 800 items, power-law activity, with
@@ -100,10 +101,24 @@ fn main() {
         ControlFlow::Continue(())
     });
 
-    // The whole session computed its shared indices at most once.
+    // --- Question 3: the store's maximum balanced biclique. ---
+    let mbb = engine.solve();
+    println!(
+        "\nmaximum balanced biclique: {} users x {} items (settled in stage {})",
+        mbb.value.left.len(),
+        mbb.value.right.len(),
+        mbb.stats.stage
+    );
+    assert!(mbb.value.half_size() >= 8);
+
+    // Only a solve that reaches stage 2 reads a search order, and the
+    // session builds it lazily, at most once: top-k, anchored and
+    // enumeration queries never need one.
     let index = engine.index_stats();
     println!(
-        "\nsession: {} order build(s), {} reuse(s)",
+        "session: {} order build(s), {} reuse(s)",
         index.orders_computed, index.orders_reused
     );
+    let peeled = mbb.stats.stage != Stage::S1;
+    assert_eq!(index.orders_computed, u64::from(peeled));
 }

@@ -8,14 +8,17 @@
 //!    are called here deliberately, as the reference);
 //! 2. **budgets** — `DeadlineExceeded` / `Cancelled` terminations must
 //!    return the best-so-far biclique and fire within a bounded overshoot;
-//! 3. **index reuse** — one session computes the bidegeneracy order and
-//!    bicore decomposition exactly once across query kinds.
+//! 3. **index reuse** — one session peels its Lemma 4 residual at most
+//!    once across query kinds, and only when a solve reaches stage 2;
+//!    cold, warm and forked sessions agree with the one-shot solver under
+//!    every `SolverConfig`.
 #![allow(deprecated)]
 
 use std::time::{Duration, Instant};
 
+use mbb_baselines::exhaustive::brute_force_mbb;
 use mbb_bigraph::generators;
-use mbb_bigraph::graph::Vertex;
+use mbb_bigraph::graph::{BipartiteGraph, Vertex};
 use mbb_core::anchored::{anchored_mbb, anchored_mbb_edge};
 use mbb_core::budget::{CancelToken, Termination};
 use mbb_core::engine::MbbEngine;
@@ -24,7 +27,9 @@ use mbb_core::frontier::SizeFrontier;
 use mbb_core::meb::maximum_edge_biclique;
 use mbb_core::size_constrained::find_size_constrained;
 use mbb_core::weighted::weighted_mbb;
-use mbb_core::{solve_mbb, topk_balanced_bicliques};
+use mbb_core::{solve_mbb, topk_balanced_bicliques, MbbSolver, SolverConfig, Stage};
+use mbb_datasets::catalog::find;
+use mbb_datasets::synth::{stand_in, ScaleCaps};
 
 /// Every engine query kind equals its legacy counterpart, seed by seed.
 #[test]
@@ -110,13 +115,15 @@ fn engine_queries_match_legacy_free_functions() {
     }
 }
 
-/// The ISSUE acceptance bar: one engine, three query kinds, the
-/// bidegeneracy order and bicore decomposition computed exactly once.
+/// One engine, three query kinds, the residual's bidegeneracy order and
+/// bicore peel computed exactly once. The instance reaches stage 2, so
+/// the solve needs the order.
 #[test]
 fn one_session_builds_shared_indices_once() {
-    let g = generators::uniform_edges(40, 40, 200, 11);
+    let g = generators::uniform_edges(40, 40, 200, 13);
     let engine = MbbEngine::new(g);
-    engine.solve();
+    let solved = engine.solve();
+    assert_ne!(solved.stats.stage, Stage::S1);
     engine.topk(3);
     engine.anchored(Vertex::left(0));
     let index = engine.index_stats();
@@ -126,6 +133,153 @@ fn one_session_builds_shared_indices_once() {
     let again = engine.solve();
     assert_eq!(again.stats.index.orders_computed, 1);
     assert!(again.stats.index.orders_reused >= 1);
+}
+
+/// A solve that stage 1 settles never peels: no order, no preprocessing
+/// time.
+#[test]
+fn stage_one_session_builds_no_order() {
+    let engine = MbbEngine::new(generators::complete(6, 6));
+    let solved = engine.solve();
+    assert_eq!(solved.stats.stage, Stage::S1);
+    let index = engine.index_stats();
+    assert_eq!(index.orders_computed, 0, "{index:?}");
+    assert_eq!(index.bicores_computed, 0, "{index:?}");
+    assert_eq!(index.preprocess_seconds, 0.0, "{index:?}");
+}
+
+/// The default configuration and the five §6.3 ablations.
+fn all_configs() -> [(&'static str, SolverConfig); 6] {
+    [
+        ("default", SolverConfig::default()),
+        ("bd1", SolverConfig::bd1()),
+        ("bd2", SolverConfig::bd2()),
+        ("bd3", SolverConfig::bd3()),
+        ("bd4", SolverConfig::bd4()),
+        ("bd5", SolverConfig::bd5()),
+    ]
+}
+
+/// Cold, warm and forked engine solves against the one-shot solver (and
+/// brute force, when given) under every configuration: same optimum,
+/// stage and residual δ̈, all `Complete`. Returns how many
+/// configurations reached stage 2.
+fn assert_paths_agree(g: &BipartiteGraph, label: &str, brute: Option<usize>) -> usize {
+    let mut stage_two = 0;
+    for (name, config) in all_configs() {
+        let fresh = MbbSolver::with_config(config).solve(g);
+        if let Some(expected) = brute {
+            assert_eq!(fresh.biclique.half_size(), expected, "{label} {name}");
+        }
+        let engine = MbbEngine::with_config(g.clone(), config);
+        let cold = engine.solve();
+        let warm = engine.solve();
+        let fork = engine.fork().solve();
+        for (path, result) in [("cold", &cold), ("warm", &warm), ("fork", &fork)] {
+            let what = format!("{label} {name} {path}");
+            assert_eq!(result.termination, Termination::Complete, "{what}");
+            assert!(result.value.is_valid(g), "{what}");
+            assert_eq!(
+                result.value.half_size(),
+                fresh.biclique.half_size(),
+                "{what}"
+            );
+            assert_eq!(result.stats.stage, fresh.stats.stage, "{what}");
+            assert_eq!(
+                result.stats.bidegeneracy, fresh.stats.bidegeneracy,
+                "{what}"
+            );
+        }
+        assert_eq!(fork.stats.index.orders_computed, 0, "{label} {name}");
+        let peeled = u64::from(fresh.stats.stage != Stage::S1);
+        assert_eq!(warm.stats.index.orders_computed, peeled, "{label} {name}");
+        if fresh.stats.stage != Stage::S1 {
+            stage_two += 1;
+        }
+    }
+    stage_two
+}
+
+#[test]
+fn every_path_agrees_on_small_graphs_with_brute_force() {
+    let mut stage_two = 0;
+    for seed in 0..6u64 {
+        let g = generators::uniform_edges(11, 11, 50, seed);
+        let brute = brute_force_mbb(&g).half_size();
+        stage_two += assert_paths_agree(&g, &format!("uniform seed {seed}"), Some(brute));
+        let g = generators::chung_lu_bipartite(
+            &generators::ChungLuParams {
+                num_left: 12,
+                num_right: 10,
+                num_edges: 45,
+                left_exponent: 0.8,
+                right_exponent: 0.8,
+            },
+            seed,
+        );
+        let brute = brute_force_mbb(&g).half_size();
+        stage_two += assert_paths_agree(&g, &format!("chung-lu seed {seed}"), Some(brute));
+    }
+    assert!(stage_two > 0, "no instance reached stage 2");
+}
+
+#[test]
+fn every_path_agrees_on_larger_graphs() {
+    let mut stage_two = 0;
+    for seed in 0..3u64 {
+        let g = generators::uniform_edges(40, 40, 220, seed);
+        stage_two += assert_paths_agree(&g, &format!("uniform seed {seed}"), None);
+        let g = generators::chung_lu_bipartite(
+            &generators::ChungLuParams {
+                num_left: 300,
+                num_right: 200,
+                num_edges: 1500,
+                left_exponent: 0.75,
+                right_exponent: 0.75,
+            },
+            seed,
+        );
+        stage_two += assert_paths_agree(&g, &format!("chung-lu seed {seed}"), None);
+    }
+    assert!(stage_two > 0, "no instance reached stage 2");
+}
+
+/// A cold engine under a 50 ms deadline on the `--caps small`
+/// gottron-trec stand-in, whose residual bicore peel is the longest of
+/// the Table 5 stand-ins. Everything after stage 1 polls the budget, so
+/// the query returns within the deadline plus stage 1's own time plus
+/// slack. A peel the deadline stopped must not poison the cache: the
+/// next, unlimited solve is exact and the session counts one order.
+#[test]
+fn cold_engine_deadline_interrupts_the_residual_peel() {
+    let graph = stand_in(find("gottron-trec").unwrap(), ScaleCaps::small(), 42).graph;
+    let fresh = MbbSolver::new().solve(&graph);
+    assert_ne!(fresh.stats.stage, Stage::S1);
+    let engine = MbbEngine::new(graph);
+
+    let deadline = Duration::from_millis(50);
+    let start = Instant::now();
+    let result = engine.query().deadline(deadline).solve();
+    let elapsed = start.elapsed();
+    let stage_one = Duration::from_secs_f64(result.stats.stage_seconds[0]);
+    let bound = deadline + stage_one + Duration::from_millis(100);
+    assert!(
+        elapsed <= bound,
+        "cold 50 ms query took {elapsed:?}, bound {bound:?}"
+    );
+    assert!(result.value.is_valid(engine.graph()));
+    match result.termination {
+        Termination::DeadlineExceeded => {}
+        Termination::Complete => {
+            assert_eq!(result.value.half_size(), fresh.biclique.half_size())
+        }
+        other => panic!("unexpected termination {other}"),
+    }
+
+    let unlimited = engine.solve();
+    assert_eq!(unlimited.termination, Termination::Complete);
+    assert_eq!(unlimited.value.half_size(), fresh.biclique.half_size());
+    assert_eq!(unlimited.stats.index.orders_computed, 1);
 }
 
 /// A Table-4-scale dense instance (256×256, 80% density) cannot finish in

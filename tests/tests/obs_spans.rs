@@ -14,6 +14,7 @@ use std::time::Instant;
 
 use mbb_bigraph::generators;
 use mbb_core::engine::MbbEngine;
+use mbb_core::Stage;
 use mbb_obs as obs;
 use mbb_serve::jsonl::encode_request;
 use mbb_serve::{QueryKind, QueryRequest, ShardedFleet, StreamConfig, StreamServer};
@@ -63,6 +64,8 @@ fn solver_stage_spans_cover_and_fit_the_wall_clock() {
         let engine = MbbEngine::new(graph);
         let result = engine.solve();
         assert!(result.value.half_size() >= 1);
+        // Stage 2 ran, so the solve peeled the residual.
+        assert_ne!(result.stats.stage, Stage::S1);
         start.elapsed()
     });
 
@@ -92,10 +95,12 @@ fn solver_stage_spans_cover_and_fit_the_wall_clock() {
         wall.as_nanos()
     );
 
-    // Child spans nest: every per-centre bridging span lies inside some
-    // bridge-stage span, every dense-search span inside some verify
-    // span.
+    // Child spans nest: the residual peel and every per-centre bridging
+    // span lie inside some bridge-stage span, every dense-search span
+    // inside some verify span.
     for (child, parent) in [
+        ("preprocess.order", "solve.bridge"),
+        ("preprocess.bicore", "preprocess.order"),
         ("solve.bridge_centre", "solve.bridge"),
         ("solve.dense", "solve.verify"),
     ] {
@@ -119,6 +124,22 @@ fn solver_stage_spans_cover_and_fit_the_wall_clock() {
         last - first,
         wall.as_nanos()
     );
+}
+
+/// A solve that stage 1 settles records no `preprocess.*` span: the
+/// engine peels only for stage 2.
+#[test]
+fn stage_one_solve_records_no_preprocess_span() {
+    let _guard = obs_lock();
+    let (result, records) = capture(|| MbbEngine::new(generators::complete(6, 6)).solve());
+    assert_eq!(result.stats.stage, Stage::S1);
+    assert!(!spans_of(&records, "solve.heuristic").is_empty());
+    let preprocess: Vec<_> = records
+        .iter()
+        .map(label)
+        .filter(|l| l.starts_with("preprocess."))
+        .collect();
+    assert!(preprocess.is_empty(), "unexpected spans {preprocess:?}");
 }
 
 /// A served request's timeline: parse → queue → execute, each span
