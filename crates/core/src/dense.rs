@@ -17,6 +17,12 @@
 //! missing neighbours, steering the residual graph towards the polynomial
 //! case as fast as possible.
 //!
+//! The scan behind steps 3 and 4 — missing counts, the argmax and the
+//! degree-histogram bound — counts no degrees itself: it reuses the ones
+//! the reduction computed, which the reduction leaves in the searcher's
+//! own scratch (one per serial search, coordinator and parallel worker).
+//! With reductions off, one plain count per side fills the same scratch.
+//!
 //! # Intra-subgraph parallelism
 //!
 //! [`dense_mbb_parallel`] splits one search across a worker pool: the
@@ -40,7 +46,7 @@ use mbb_bigraph::local::LocalGraph;
 use crate::basic::LocalBiclique;
 use crate::budget::SearchBudget;
 use crate::poly::dynamic_mbb;
-use crate::reduce::reduce_candidates;
+use crate::reduce::DegreeScratch;
 use crate::stats::SearchStats;
 
 /// Tuning/ablation knobs for [`dense_mbb`].
@@ -144,15 +150,7 @@ pub fn dense_mbb_budgeted(
     debug_assert!(b
         .iter()
         .all(|&v| ca.iter().all(|u| graph.has_edge(u as u32, v))));
-    let mut searcher = DenseSearcher {
-        graph,
-        best: LocalBiclique::default(),
-        best_half: initial_half,
-        stats: SearchStats::default(),
-        config,
-        budget: budget.clone(),
-        shared_best: None,
-    };
+    let mut searcher = DenseSearcher::new(graph, initial_half, config, budget, None);
     let mut a = a;
     let mut b = b;
     searcher.recurse(&mut a, &mut b, ca, cb, 0);
@@ -217,9 +215,31 @@ struct DenseSearcher<'g> {
     /// search (`None` when running serial). Read at every node, written
     /// on every improvement, so one worker's find prunes all the others.
     shared_best: Option<&'g SharedIncumbent>,
+    /// Candidate degrees of the current node, written by the reduction
+    /// and read by the node scan. Owned per searcher, never shared.
+    degrees: DegreeScratch,
 }
 
-impl DenseSearcher<'_> {
+impl<'g> DenseSearcher<'g> {
+    fn new(
+        graph: &'g LocalGraph,
+        best_half: usize,
+        config: DenseConfig,
+        budget: &SearchBudget,
+        shared_best: Option<&'g SharedIncumbent>,
+    ) -> Self {
+        DenseSearcher {
+            graph,
+            best: LocalBiclique::default(),
+            best_half,
+            stats: SearchStats::default(),
+            config,
+            budget: budget.clone(),
+            shared_best,
+            degrees: DegreeScratch::new(graph),
+        }
+    }
+
     fn record(&mut self, left: Vec<u32>, right: Vec<u32>) {
         let half = left.len().min(right.len());
         if half > self.best_half {
@@ -249,7 +269,7 @@ impl DenseSearcher<'_> {
     }
 
     /// One node of Algorithm 3: bound, reduce, re-bound, polynomial case,
-    /// branch selection. Mutates the partial result (`reduce_candidates`
+    /// branch selection. Mutates the partial result (the reduction
     /// promotes all-connected candidates into `a`/`b`) and the candidate
     /// sets in place; the caller owns unwinding.
     fn step(
@@ -279,22 +299,27 @@ impl DenseSearcher<'_> {
             return StepOutcome::Resolved;
         }
 
-        // Reduction (line 2) and re-bound (line 3).
+        // Reduction (line 2) and re-bound (line 3). Either way every
+        // candidate's degree ends up in `self.degrees`.
         if self.config.use_reductions {
-            reduce_candidates(self.graph, a, b, ca, cb, self.best_half, &mut self.stats);
+            self.degrees
+                .reduce(self.graph, a, b, ca, cb, self.best_half, &mut self.stats);
             let cap = (a.len() + ca.len()).min(b.len() + cb.len());
             if cap <= self.best_half {
                 self.stats.bound_prunes += 1;
                 self.leaf(depth);
                 return StepOutcome::Resolved;
             }
+        } else {
+            self.degrees.count(self.graph, ca, cb);
         }
 
-        // One pass over both candidate sets computing missing-neighbour
-        // counts. It feeds three decisions at once: the degree-histogram
-        // bound, the Lemma 3 polynomial-case test (max missing ≤ 2) and
-        // the triviality-last branch choice (argmax missing).
-        let scan = scan_candidates(self.graph, a.len(), b.len(), ca, cb);
+        // One pass over both candidate sets turning the stored degrees
+        // into missing-neighbour counts. It feeds three decisions at once:
+        // the degree-histogram bound, the Lemma 3 polynomial-case test
+        // (max missing ≤ 2) and the triviality-last branch choice (argmax
+        // missing).
+        let scan = scan_candidates(&mut self.degrees, a.len(), b.len(), ca, cb);
         if scan.upper_bound <= self.best_half {
             self.stats.bound_prunes += 1;
             self.leaf(depth);
@@ -538,15 +563,8 @@ pub fn dense_mbb_parallel(
 
     // Serial prefix: expand the frontier. Resolutions met on the way
     // (poly solves at shallow depth) land in the coordinator's `best`.
-    let mut coordinator = DenseSearcher {
-        graph,
-        best: LocalBiclique::default(),
-        best_half: initial_half,
-        stats: SearchStats::default(),
-        config,
-        budget: budget.clone(),
-        shared_best: Some(&shared_best),
-    };
+    let mut coordinator =
+        DenseSearcher::new(graph, initial_half, config, budget, Some(&shared_best));
     let target = (workers * FRONTIER_TASKS_PER_WORKER).min(MAX_FRONTIER_TASKS);
     let tasks: Vec<FrontierTask> = expand_frontier(&mut coordinator, a, b, ca, cb, target).into();
     if tasks.is_empty() {
@@ -562,15 +580,8 @@ pub fn dense_mbb_parallel(
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
-                    let mut searcher = DenseSearcher {
-                        graph,
-                        best: LocalBiclique::default(),
-                        best_half: shared.bound(),
-                        stats: SearchStats::default(),
-                        config,
-                        budget: budget.clone(),
-                        shared_best: Some(shared),
-                    };
+                    let mut searcher =
+                        DenseSearcher::new(graph, shared.bound(), config, budget, Some(shared));
                     let chunk = tasks.len().div_ceil(workers).max(1);
                     let own = (w * chunk).min(tasks.len())..((w + 1) * chunk).min(tasks.len());
                     let mut stolen = 0u64;
@@ -652,7 +663,8 @@ struct CandidateScan {
 }
 
 /// Single pass over the candidate sets: missing counts, argmax, and the
-/// degree-histogram bound.
+/// degree-histogram bound, all read from the degrees the node's reduction
+/// (or count) left in `degrees` — no popcount here.
 ///
 /// The bound: a balanced biclique of half-size `k` reachable from this
 /// state needs, on each side, at least `k` vertices whose degree towards
@@ -662,7 +674,7 @@ struct CandidateScan {
 /// `min(|A|+|CA|, |B|+|CB|)` bound at the cost of work this scan already
 /// does.
 fn scan_candidates(
-    graph: &LocalGraph,
+    degrees: &mut DegreeScratch,
     a_len: usize,
     b_len: usize,
     ca: &BitSet,
@@ -678,11 +690,21 @@ fn scan_candidates(
     let mut argmax_on_left = true;
     let mut argmax_vertex = u32::MAX;
     // hist_a[d] = number of CA candidates with |B| + deg(u, CB) = d.
-    let mut hist_a = vec![0u32; cap_b + 1];
-    let mut hist_b = vec![0u32; cap_a + 1];
+    // Clearing and resizing reuses the buffers: no allocation once they
+    // have grown to the graph's size.
+    let DegreeScratch {
+        deg_left,
+        deg_right,
+        hist_a,
+        hist_b,
+    } = degrees;
+    hist_a.clear();
+    hist_a.resize(cap_b + 1, 0);
+    hist_b.clear();
+    hist_b.resize(cap_a + 1, 0);
 
     for u in ca.iter() {
-        let degree = graph.left_degree_in(u as u32, cb);
+        let degree = deg_left[u] as usize;
         let missing = cb_len - degree;
         if missing >= max_missing {
             // `>=` keeps argmax defined even when all missings are 0.
@@ -693,7 +715,7 @@ fn scan_candidates(
         hist_a[(b_len + degree).min(cap_b)] += 1;
     }
     for v in cb.iter() {
-        let degree = graph.right_degree_in(v as u32, ca);
+        let degree = deg_right[v] as usize;
         let missing = ca_len - degree;
         if missing > max_missing {
             max_missing = missing;
@@ -997,6 +1019,114 @@ mod tests {
                 config,
             );
             assert_eq!(b.half(), brute_force_half(&g), "seed {seed}");
+        }
+    }
+
+    /// The search tree, pinned: node, prune, poly-solve and reduction
+    /// counts of the serial search on small dense squares, under each
+    /// ablation. Any change to reduction order, bounding or branch choice
+    /// moves at least one of these.
+    #[test]
+    fn search_tree_is_pinned() {
+        use mbb_bigraph::generators::dense_uniform;
+        let configs = [
+            DenseConfig::default(),
+            DenseConfig {
+                use_reductions: false,
+                ..DenseConfig::default()
+            },
+            DenseConfig {
+                use_polynomial_case: false,
+                ..DenseConfig::default()
+            },
+            DenseConfig {
+                branch_max_missing: false,
+                ..DenseConfig::default()
+            },
+        ];
+        // (n, density, seed, half, [nodes, bound_prunes, poly_solves,
+        // reduced_vertices] per config in the order above).
+        let pins = [
+            (
+                24,
+                0.85,
+                2,
+                11,
+                [
+                    [291, 43, 103, 795],
+                    [481, 134, 107, 0],
+                    [1085, 539, 0, 5629],
+                    [2231, 993, 123, 16074],
+                ],
+            ),
+            (
+                28,
+                0.8,
+                3,
+                10,
+                [
+                    [1595, 516, 282, 9947],
+                    [2895, 1091, 357, 0],
+                    [2835, 1412, 0, 22081],
+                    [6941, 3412, 59, 75776],
+                ],
+            ),
+            (
+                32,
+                0.85,
+                6,
+                14,
+                [
+                    [2051, 678, 348, 16389],
+                    [3641, 1427, 394, 0],
+                    [3999, 1990, 0, 38011],
+                    [18891, 8934, 512, 208631],
+                ],
+            ),
+        ];
+        for (n, density, seed, half, counts) in pins {
+            let g = dense_uniform(n, n, density, seed);
+            let ids: Vec<u32> = (0..n).collect();
+            let local = LocalGraph::induced(&g, &ids, &ids);
+            let full = BitSet::full(n as usize);
+            for (config, expected) in configs.iter().zip(counts) {
+                let (found, stats) = dense_mbb_seeded(
+                    &local,
+                    vec![],
+                    vec![],
+                    full.clone(),
+                    full.clone(),
+                    0,
+                    *config,
+                );
+                let got = [
+                    stats.nodes,
+                    stats.bound_prunes,
+                    stats.poly_solves,
+                    stats.reduced_vertices,
+                ];
+                assert_eq!(found.half(), half, "{n}x{n} at {density} {config:?}");
+                assert_eq!(got, expected, "{n}x{n} at {density} {config:?}");
+                for workers in [2, 4] {
+                    let (parallel, _) = dense_mbb_parallel(
+                        &local,
+                        vec![],
+                        vec![],
+                        full.clone(),
+                        full.clone(),
+                        0,
+                        *config,
+                        &SearchBudget::unlimited(),
+                        workers,
+                    );
+                    assert_eq!(
+                        parallel.half(),
+                        half,
+                        "{n}x{n} workers {workers} {config:?}"
+                    );
+                    assert!(local.is_biclique(&parallel.left, &parallel.right));
+                }
+            }
         }
     }
 }
