@@ -18,10 +18,10 @@ usage: mbb serve --shard <id>=<edge-list-file> [--shard ...]
 
 Builds one engine session per --shard (routable by its <id>), then stays
 resident: one JSON request per stdin line, one JSON event per stdout
-line as requests complete, until stdin closes. Unlike `mbb serve-batch`
-(one file, one batch, exit), requests are admitted to a global
-deadline-soonest queue as they arrive — a later tight-deadline request
-overtakes queued slack ones — with:
+line as requests complete, until stdin closes. `mbb serve-batch` runs
+one file through the same queue and exits; here requests are admitted
+to the global deadline-soonest queue as they arrive — a later
+tight-deadline request overtakes queued slack ones — with:
 
   backpressure   the queue holds at most --queue-depth requests
                  (default 1024); when full, reading stdin pauses

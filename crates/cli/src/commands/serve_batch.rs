@@ -1,8 +1,10 @@
 //! `mbb serve-batch` — run a JSONL request batch against a sharded
 //! engine fleet.
 
+use std::time::Instant;
+
 use mbb_serve::jsonl::{encode_report, parse_requests};
-use mbb_serve::{BatchExecutor, ShardedFleet};
+use mbb_serve::{ShardedFleet, StreamConfig, StreamServer};
 use mbb_store::GraphStore;
 
 /// Usage text for the subcommand.
@@ -11,10 +13,13 @@ usage: mbb serve-batch --shard <id>=<edge-list-file> [--shard ...]
                        --requests <jsonl-file> [--workers <N>] [--stats]
 
 Builds one engine session per --shard (routable by its <id>), reads one
-JSON request per line from the --requests file, executes the batch on a
-worker pool (deadline-soonest first), and prints one JSON response per
-line in request order. --workers 0 uses one worker per core (default 1).
---stats appends a final {\"batch\": ...} summary line.
+JSON request per line from the --requests file, admits the whole file to
+the same deadline-soonest queue `mbb serve` uses, and prints one JSON
+line per request in request order. A request's deadline_ms counts from
+admission: a zero budget, or one that runs out while queued, is
+answered with {\"error_kind\": \"shed\"} and never executed. --workers 0
+uses one worker per core (default 1). --stats appends a final
+{\"batch\": ...} summary line.
 
 Shards load through the graph store: a fresh .mbbg binary cache next to
 an edge list (see `mbb ingest`) is used instead of re-parsing, and a
@@ -103,9 +108,18 @@ pub fn run(options: &ServeBatchOptions) -> Result<String, String> {
     let text = std::fs::read_to_string(&options.requests)
         .map_err(|e| format!("{}: {e}", options.requests))?;
     let requests = parse_requests(&text).map_err(|e| e.to_string())?;
-    let executor = BatchExecutor::new(fleet, options.workers);
-    let report = executor.run_batch(requests);
-    Ok(encode_report(&report, options.stats))
+    let config = StreamConfig {
+        workers: options.workers,
+        ..StreamConfig::default()
+    };
+    let server = StreamServer::new(fleet, config);
+    let started = Instant::now();
+    let (events, stats) = server.run_batch(requests);
+    let wall_clock = started.elapsed();
+    Ok(encode_report(
+        &events,
+        options.stats.then_some((&stats, wall_clock)),
+    ))
 }
 
 #[cfg(test)]

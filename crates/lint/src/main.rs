@@ -27,8 +27,9 @@ use rules::{Finding, LockClass};
 
 /// Wire-facing serve sources: a panic here kills a worker serving a
 /// socket/stdin session instead of producing an error line.
-const WIRE_FILES: [&str; 4] = [
+const WIRE_FILES: [&str; 5] = [
     "crates/serve/src/jsonl.rs",
+    "crates/serve/src/request.rs",
     "crates/serve/src/stream.rs",
     "crates/serve/src/socket.rs",
     "crates/serve/src/mux.rs",

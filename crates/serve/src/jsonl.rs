@@ -588,17 +588,19 @@ fn metrics_value(report: &MetricsReport) -> Value {
     ])
 }
 
-/// Encodes a whole [`BatchReport`](crate::BatchReport): one line per
-/// response (request order), plus, when `include_stats` is set, one
-/// trailing `{"batch": …}` summary line.
-pub fn encode_report(report: &crate::BatchReport, include_stats: bool) -> String {
+/// Encodes a [`StreamServer::run_batch`](crate::StreamServer::run_batch)
+/// result: one line per event (request order), plus, when `stats` is
+/// given, one trailing `{"batch": …}` summary line built from the
+/// batch's [`ServeStats`] and the caller-measured wall clock. `requests`
+/// is the event count — `run_batch` answers every request with exactly
+/// one event.
+pub fn encode_report(events: &[StreamEvent], stats: Option<(&ServeStats, Duration)>) -> String {
     let mut out = String::new();
-    for response in &report.responses {
-        out.push_str(&encode_response(response));
+    for event in events {
+        out.push_str(&encode_stream_event(event));
         out.push('\n');
     }
-    if include_stats {
-        let stats = &report.stats;
+    if let Some((stats, wall_clock)) = stats {
         let shards = Value::Array(
             stats
                 .per_shard
@@ -606,7 +608,7 @@ pub fn encode_report(report: &crate::BatchReport, include_stats: bool) -> String
                 .map(|s| {
                     Value::Object(vec![
                         ("graph".into(), Value::String(s.shard.clone())),
-                        ("requests".into(), Value::UInt(s.requests as u64)),
+                        ("requests".into(), Value::UInt(s.served)),
                         ("search_nodes".into(), Value::UInt(s.search_nodes)),
                         ("index_reuse_hits".into(), Value::UInt(s.index_reuse_hits)),
                     ])
@@ -614,9 +616,10 @@ pub fn encode_report(report: &crate::BatchReport, include_stats: bool) -> String
                 .collect(),
         );
         let batch = Value::Object(vec![
-            ("requests".into(), Value::UInt(stats.requests as u64)),
-            ("rejected".into(), Value::UInt(stats.rejected as u64)),
-            ("wall_clock_ms".into(), millis(stats.wall_clock)),
+            ("requests".into(), Value::UInt(events.len() as u64)),
+            ("rejected".into(), Value::UInt(stats.rejected)),
+            ("shed".into(), Value::UInt(stats.shed)),
+            ("wall_clock_ms".into(), millis(wall_clock)),
             ("total_queue_wait_ms".into(), millis(stats.total_queue_wait)),
             ("max_queue_wait_ms".into(), millis(stats.max_queue_wait)),
             ("total_service_ms".into(), millis(stats.total_service)),

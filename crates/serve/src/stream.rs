@@ -1,23 +1,24 @@
-//! The resident serve loop: a long-running request stream with
-//! cross-batch EDF admission control, per-tenant fairness, bounded-depth
-//! backpressure, load-shedding, and graceful drain/reload.
+//! The serve loop: EDF admission control, per-tenant fairness,
+//! bounded-depth backpressure, load-shedding, and graceful drain/reload,
+//! over one admission queue.
 //!
-//! # How it differs from [`BatchExecutor`](crate::BatchExecutor)
+//! # Two ways in, one queue
 //!
-//! `run_batch` drains one `Vec` of requests and returns; deadline order
-//! only exists *within* that call. A [`StreamServer`] stays up: requests
-//! arrive one JSONL line at a time (from stdin, or from N concurrent
-//! socket clients behind the `socket` feature — see `crate::socket`),
-//! enter one **global admission queue** shared by every request ever
-//! admitted, and responses are emitted as they complete. The admission
-//! queue is where the service semantics live:
+//! A [`StreamServer`] takes requests either as a long-running stream —
+//! one JSONL line at a time from stdin ([`StreamServer::serve`]), or
+//! from N concurrent socket clients behind the `socket` feature (see
+//! `crate::socket`) — or as a finite `Vec`
+//! ([`StreamServer::run_batch`], which returns one event per request in
+//! request order). Both feed the same admission path, the same
+//! [`Admission`] queue and the same workers, so a request gets the same
+//! outcome whichever way it arrives. The admission queue is where the
+//! service semantics live:
 //!
 //! * **Cross-batch EDF.** The queue is ordered by absolute deadline
 //!   (admission instant + `deadline_ms`), earliest first; deadline-free
 //!   requests run after every deadlined one, FIFO among themselves. A
 //!   tight-deadline request admitted *later* overtakes slack requests
-//!   already queued — the property `run_batch` could only give within
-//!   one batch.
+//!   already queued.
 //! * **Per-tenant fairness.** EDF alone lets one hot shard starve the
 //!   rest (its requests can always carry the soonest deadlines). The
 //!   queue therefore keys sub-queues by shard and caps how many
@@ -58,10 +59,9 @@ use mbb_obs as obs;
 use mbb_store::GraphStore;
 use std::sync::Arc;
 
-use crate::batch::{execute_guarded, rejected, validate};
 use crate::fleet::ShardedFleet;
 use crate::jsonl::{encode_stream_event, parse_stream_line, ControlRequest, StreamLine};
-use crate::request::{QueryRequest, QueryResponse};
+use crate::request::{execute_guarded, rejected, validate, QueryRequest, QueryResponse};
 
 // ---------------------------------------------------------------------
 // Configuration.
@@ -75,6 +75,7 @@ pub struct StreamConfig {
     /// Maximum queued (admitted but not yet executing) requests.
     /// Admission blocks when the queue is full — backpressure, not
     /// unbounded memory. Clamped to at least 1.
+    /// [`StreamServer::run_batch`] sizes its queue to the batch instead.
     pub queue_depth: usize,
     /// Maximum consecutive pops one shard may win while another shard
     /// has queued work; `0` disables the fairness cap (pure EDF).
@@ -191,10 +192,10 @@ pub struct ShardServeStats {
     pub reloads: u64,
 }
 
-/// Snapshot of the resident loop's counters — the stream-mode analogue
-/// of [`BatchStats`](crate::BatchStats), built from the same sources
-/// (engine index counters, per-request queue-wait/service timings,
-/// search-node totals).
+/// Snapshot of one serve call's counters: a [`StreamServer::serve`]
+/// stream so far, or one [`StreamServer::run_batch`] batch. Built from
+/// the admission queue's counters and latency histograms plus the shard
+/// engines' index counters.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     /// Requests admitted to the queue (excludes rejects and sheds at
@@ -224,14 +225,17 @@ pub struct ServeStats {
     pub queue_depth: usize,
     /// High-water mark of the queue depth.
     pub max_queue_depth: usize,
-    /// Sum of per-request queue waits.
+    /// Sum of executed requests' queue waits (the queue-wait
+    /// histogram's exact sum).
     pub total_queue_wait: Duration,
-    /// The worst single queue wait.
+    /// The worst single queue wait (the histogram's exact max).
     pub max_queue_wait: Duration,
-    /// Sum of per-request service times.
+    /// Sum of executed requests' service times (the service-time
+    /// histogram's exact sum; more than the wall clock means the workers
+    /// overlapped work).
     pub total_service: Duration,
-    /// Cached-index reuse hits across all shards since server start
-    /// (per-shard counters reset on reload).
+    /// Cached-index reuse hits across all shards since the serve call
+    /// began (per-shard counters reset on reload).
     pub index_reuse_hits: u64,
     /// Per-shard breakdown, in fleet shard order.
     pub per_shard: Vec<ShardServeStats>,
@@ -241,9 +245,8 @@ pub struct ServeStats {
 /// counters (wire-compatible with the `stats` verb) plus the
 /// log-bucketed latency distributions the totals can't express. The
 /// histograms live on the [`Admission`] queue and are recorded by
-/// [`Admission::finish`] from the same per-request durations that feed
-/// `total_queue_wait` / `total_service`, so the two views always agree
-/// on `count` and `sum`.
+/// [`Admission::finish`]; `total_queue_wait`, `max_queue_wait` and
+/// `total_service` are read from them, so the two views cannot disagree.
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
     /// The counter snapshot, identical to a `stats` answer.
@@ -424,9 +427,6 @@ struct QueueState {
     closed_conns: u64,
     disconnects: u64,
     max_depth: usize,
-    total_queue_wait: Duration,
-    max_queue_wait: Duration,
-    total_service: Duration,
     served: Vec<(u64, u64, u64)>, // per shard: (served, shed, search nodes)
 }
 
@@ -504,10 +504,10 @@ pub struct Admission {
     idle: Condvar,
     depth_limit: usize,
     fairness_burst: usize,
-    /// Latency distributions, recorded by [`finish`](Self::finish) from
-    /// the same durations that feed the `total_*` counters. Lock-free
-    /// (plain atomics) — kept outside `state` so recording never extends
-    /// the queue lock's hold time.
+    /// Latency distributions, recorded by [`finish`](Self::finish); the
+    /// `ServeStats` time totals are read from their exact sum and max.
+    /// Lock-free (plain atomics) — kept outside `state` so recording
+    /// never extends the queue lock's hold time.
     hist_queue_wait: obs::Histogram,
     hist_service: obs::Histogram,
 }
@@ -534,9 +534,6 @@ impl Admission {
                 closed_conns: 0,
                 disconnects: 0,
                 max_depth: 0,
-                total_queue_wait: Duration::ZERO,
-                max_queue_wait: Duration::ZERO,
-                total_service: Duration::ZERO,
                 served: vec![(0, 0, 0); shards],
             }),
             space: Condvar::new(),
@@ -655,15 +652,11 @@ impl Admission {
             Completion::Executed {
                 shard,
                 search_nodes,
-                queue_wait,
-                service,
+                ..
             } => {
                 state.completed += 1;
                 state.served[shard].0 += 1;
                 state.served[shard].2 += search_nodes;
-                state.total_queue_wait += queue_wait;
-                state.max_queue_wait = state.max_queue_wait.max(queue_wait);
-                state.total_service += service;
             }
             Completion::Disconnected => {
                 state.disconnected += 1;
@@ -884,18 +877,10 @@ impl StreamServer {
     ) -> ServeStats {
         let admission = self.new_admission();
         let baselines = self.baselines();
-        let workers = resolve_threads(self.config.workers);
         // Local mode: one implicit always-alive connection.
         let conn_sink = |_conn: u64, event: StreamEvent| sink(event);
-        let alive = |_conn: u64| true;
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| worker_loop(&admission, &conn_sink, &alive));
-            }
-            self.reader_loop(input, &admission, &baselines, &conn_sink);
-            admission.close();
-            // Scope exit joins the workers: they drain the queue first.
+        self.with_workers(&admission, &conn_sink, || {
+            self.reader_loop(input, &admission, &baselines, &conn_sink)
         });
 
         let stats = self.snapshot(&admission, &baselines);
@@ -903,6 +888,87 @@ impl StreamServer {
             sink(StreamEvent::Stats(stats.clone()));
         }
         stats
+    }
+
+    /// Runs a finite batch through the same admission path, queue and
+    /// workers as [`serve`](Self::serve), and returns one event per
+    /// request **in request order** — a [`StreamEvent::Response`] (an
+    /// answer, or a routing/validation rejection) or a
+    /// [`StreamEvent::Shed`] — plus the stats of this batch alone
+    /// ([`StreamConfig::stats_on_exit`] does not apply).
+    ///
+    /// The queue holds the whole batch, so no admission blocks and every
+    /// deadline clock starts within microseconds of the call. A zero
+    /// budget, or one that expires while queued, is shed exactly as in
+    /// `serve`. The index-reuse counters are diffs across this call, so
+    /// they attribute cleanly only when batches on one server run one at
+    /// a time (concurrent calls are safe, but those counters blend).
+    ///
+    /// ```
+    /// use mbb_serve::{QueryKind, QueryRequest, ShardedFleet, StreamConfig, StreamEvent, StreamServer};
+    ///
+    /// let mut fleet = ShardedFleet::new();
+    /// fleet.add_shard("only", mbb_bigraph::generators::uniform_edges(12, 12, 60, 2))?;
+    /// let server = StreamServer::new(fleet, StreamConfig::default());
+    /// let (events, stats) = server.run_batch(vec![
+    ///     QueryRequest::new(0, QueryKind::Solve).on_graph("only"),
+    ///     QueryRequest::new(1, QueryKind::Solve).on_graph("only"),
+    ///     QueryRequest::new(2, QueryKind::Solve).on_graph("nowhere"),
+    /// ]);
+    /// let StreamEvent::Response(first) = &events[0] else { panic!("request 0 ran") };
+    /// // Stage 1 did not settle the graph, so the first solve built the
+    /// // residual order and the second reused it: the amortisation a
+    /// // batch buys, and the stats show it.
+    /// assert_ne!(first.stats.stage, mbb_core::Stage::S1);
+    /// assert!(stats.index_reuse_hits >= 1);
+    /// assert_eq!(stats.per_shard[0].served, 2);
+    /// assert_eq!(stats.rejected, 1);
+    /// # Ok::<(), mbb_serve::ServeError>(())
+    /// ```
+    pub fn run_batch(&self, requests: Vec<QueryRequest>) -> (Vec<StreamEvent>, ServeStats) {
+        let config = StreamConfig {
+            queue_depth: requests.len().max(1),
+            ..self.config
+        };
+        let admission = Admission::new(self.fleet.len(), &config);
+        let baselines = self.baselines();
+        // Each request's position is its connection tag (so its spans
+        // carry the position as connection id), and every event lands in
+        // its own request's slot.
+        let slots = Mutex::new((0..requests.len()).map(|_| None).collect::<Vec<_>>());
+        let sink = |position: u64, event: StreamEvent| {
+            if let Some(slot) = slots.lock().get_mut(position as usize) {
+                *slot = Some(event);
+            }
+        };
+        self.with_workers(&admission, &sink, || {
+            for (position, request) in requests.into_iter().enumerate() {
+                self.admit(request, position as u64, &admission, &sink);
+            }
+        });
+        let stats = self.snapshot(&admission, &baselines);
+        (slots.into_inner().into_iter().flatten().collect(), stats)
+    }
+
+    /// Spawns the configured workers over `admission`, runs `admit_all`
+    /// on the calling thread, then closes the queue and joins the
+    /// workers once they have drained it.
+    fn with_workers(
+        &self,
+        admission: &Admission,
+        sink: &(impl Fn(u64, StreamEvent) + Sync),
+        admit_all: impl FnOnce(),
+    ) {
+        // Every local connection is alive; only sockets disconnect.
+        let alive = |_conn: u64| true;
+        std::thread::scope(|scope| {
+            for _ in 0..resolve_threads(self.config.workers) {
+                scope.spawn(|| worker_loop(admission, sink, &alive));
+            }
+            admit_all();
+            admission.close();
+            // Scope exit joins the workers: they drain the queue first.
+        });
     }
 
     /// The admission queue a serve loop (stdin or socket) runs over.
@@ -1117,8 +1183,12 @@ impl StreamServer {
         // Lock-order contract (docs/lock_order.txt): shard engine
         // RwLocks strictly before the admission-queue mutex. All
         // fleet reads — `index_stats` takes each shard's engine read
-        // lock — happen up front, before `admission.state` is held.
+        // lock — happen up front, before `admission.state` is held. The
+        // time totals come from the lock-free histograms, also read
+        // before the queue lock.
         let after = self.fleet.index_stats();
+        let queue_wait = admission.queue_wait_histogram();
+        let service = admission.service_histogram();
         let total_reloads = self.fleet.total_reloads();
         let shard_meta: Vec<(String, u64)> = self
             .fleet
@@ -1158,9 +1228,9 @@ impl StreamServer {
             disconnects: state.disconnects,
             queue_depth: state.depth,
             max_queue_depth: state.max_depth,
-            total_queue_wait: state.total_queue_wait,
-            max_queue_wait: state.max_queue_wait,
-            total_service: state.total_service,
+            total_queue_wait: Duration::from_nanos(queue_wait.sum),
+            max_queue_wait: Duration::from_nanos(queue_wait.max),
+            total_service: Duration::from_nanos(service.sum),
             index_reuse_hits: per_shard.iter().map(|s| s.index_reuse_hits).sum(),
             per_shard,
         }
@@ -1248,8 +1318,10 @@ pub fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::QueryKind;
+    use crate::request::{QueryKind, MAX_REQUEST_THREADS, MAX_REQUEST_TOPK};
     use mbb_bigraph::generators;
+    use mbb_bigraph::graph::Vertex;
+    use mbb_core::budget::{CancelToken, Termination};
 
     fn job(shard: usize, id: u64, deadline: Option<Duration>, now: Instant) -> StreamJob {
         StreamJob {
@@ -1450,5 +1522,155 @@ not json\n\
         assert_eq!(stats.completed, 6);
         assert_eq!(*responses.lock(), 6);
         assert!(stats.max_queue_depth <= 1, "{}", stats.max_queue_depth);
+    }
+
+    fn small_fleet() -> ShardedFleet {
+        let mut fleet = ShardedFleet::new();
+        fleet
+            .add_shard("a", generators::uniform_edges(12, 12, 55, 1))
+            .unwrap()
+            .add_shard("b", generators::uniform_edges(10, 10, 45, 2))
+            .unwrap();
+        fleet
+    }
+
+    fn batch_server(fleet: ShardedFleet, workers: usize) -> StreamServer {
+        StreamServer::new(
+            fleet,
+            StreamConfig {
+                workers,
+                ..StreamConfig::default()
+            },
+        )
+    }
+
+    fn response(event: &StreamEvent) -> &QueryResponse {
+        match event {
+            StreamEvent::Response(response) => response,
+            other => panic!("expected a response, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn responses_come_back_in_request_order() {
+        let server = batch_server(small_fleet(), 2);
+        let requests: Vec<QueryRequest> = (0..10)
+            .map(|i| {
+                QueryRequest::new(100 + i, QueryKind::Solve).on_graph(if i % 2 == 0 {
+                    "a"
+                } else {
+                    "b"
+                })
+            })
+            .collect();
+        let (events, stats) = server.run_batch(requests);
+        let ids: Vec<u64> = events.iter().map(|e| response(e).id).collect();
+        assert_eq!(ids, (100..110).collect::<Vec<u64>>());
+        assert_eq!(stats.completed, 10);
+        assert_eq!(stats.rejected, 0);
+    }
+
+    #[test]
+    fn invalid_requests_are_rejected_not_executed() {
+        let server = batch_server(small_fleet(), 1);
+        let (events, stats) = server.run_batch(vec![
+            QueryRequest::new(0, QueryKind::Solve).on_graph("nowhere"),
+            QueryRequest::new(1, QueryKind::Topk { k: 0 }).on_graph("a"),
+            QueryRequest::new(
+                2,
+                QueryKind::Anchored {
+                    vertex: Vertex::left(99),
+                },
+            )
+            .on_graph("a"),
+            QueryRequest::new(3, QueryKind::AnchoredEdge { u: 99, v: 0 }).on_graph("a"),
+            QueryRequest::new(4, QueryKind::Weighted { weights: vec![1] }).on_graph("a"),
+            QueryRequest::new(5, QueryKind::Solve)
+                .on_graph("a")
+                .with_threads(MAX_REQUEST_THREADS + 1),
+            QueryRequest::new(
+                6,
+                QueryKind::Topk {
+                    k: MAX_REQUEST_TOPK + 1,
+                },
+            )
+            .on_graph("a"),
+            QueryRequest::new(7, QueryKind::Solve).on_graph("a"),
+        ]);
+        assert_eq!(stats.rejected, 7);
+        for e in &events[..7] {
+            assert!(response(e).outcome.is_rejected(), "id {}", response(e).id);
+        }
+        assert!(!response(&events[7]).outcome.is_rejected());
+        // Routing failures carry no shard; validation failures name the
+        // shard that would have served the request.
+        assert_eq!(response(&events[0]).shard, None);
+        assert_eq!(response(&events[1]).shard.as_deref(), Some("a"));
+        // Rejected requests burn no engine time.
+        assert_eq!(response(&events[0]).service, Duration::ZERO);
+        assert_eq!(stats.admitted, 1);
+    }
+
+    #[test]
+    fn empty_batch_returns_immediately() {
+        let server = batch_server(small_fleet(), 1);
+        let (events, stats) = server.run_batch(Vec::new());
+        assert!(events.is_empty());
+        assert_eq!(stats.admitted, 0);
+        assert_eq!(stats.max_queue_wait, Duration::ZERO);
+    }
+
+    #[test]
+    fn server_survives_multiple_batches() {
+        // Stage 2 runs on this graph, so the first solve builds the
+        // residual order that the second one reuses.
+        let mut fleet = ShardedFleet::new();
+        fleet
+            .add_shard("a", generators::uniform_edges(12, 12, 60, 2))
+            .unwrap();
+        let server = batch_server(fleet, 2);
+        let (first, _) =
+            server.run_batch(vec![QueryRequest::new(0, QueryKind::Solve).on_graph("a")]);
+        let (second, second_stats) =
+            server.run_batch(vec![QueryRequest::new(1, QueryKind::Solve).on_graph("a")]);
+        let (first, second) = (response(&first[0]), response(&second[0]));
+        assert_eq!(
+            first.outcome.headline_size(),
+            second.outcome.headline_size()
+        );
+        // The second batch reused the indices the first one built.
+        assert_ne!(first.stats.stage, mbb_core::Stage::S1);
+        assert!(second_stats.index_reuse_hits >= 1);
+    }
+
+    #[test]
+    fn cancelled_request_reports_cancelled() {
+        // Dense enough that stage 1 cannot prove optimality, so the
+        // budget check after it observes the already-fired token. (On
+        // trivial graphs a cancelled solve may legitimately finish
+        // `Complete` before any check — anytime semantics.)
+        let mut fleet = ShardedFleet::new();
+        fleet
+            .add_shard("dense", generators::dense_uniform(40, 40, 0.8, 3))
+            .unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let server = batch_server(fleet, 1);
+        let (events, _) = server.run_batch(vec![QueryRequest::new(0, QueryKind::Solve)
+            .on_graph("dense")
+            .with_cancel(token)]);
+        assert_eq!(response(&events[0]).termination, Termination::Cancelled);
+    }
+
+    #[test]
+    fn workers_zero_resolves_to_cores() {
+        let server = batch_server(small_fleet(), 0);
+        assert_eq!(server.fleet().len(), 2);
+        let requests = (0..4)
+            .map(|i| QueryRequest::new(i, QueryKind::Solve))
+            .collect();
+        let (events, stats) = server.run_batch(requests);
+        assert_eq!(events.len(), 4);
+        assert_eq!(stats.completed, 4);
     }
 }

@@ -5,18 +5,21 @@
 //! interaction graphs ("west", "east"), each served by one warm
 //! `MbbEngine` session, and answers client queries in batches — many
 //! queries, few sessions, shared cached indices. Deadlined requests are
-//! scheduled first (deadline-soonest), and a request whose budget
-//! expires comes back best-so-far instead of late.
+//! scheduled first (deadline-soonest), a request whose budget expires
+//! while running comes back best-so-far instead of late, and one whose
+//! budget is gone before it starts is shed.
 //!
 //! ```text
 //! cargo run -p mbb-examples --release --example batch_service
 //! ```
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mbb_bigraph::generators::{self, ChungLuParams};
 use mbb_bigraph::graph::Vertex;
-use mbb_serve::{BatchExecutor, QueryKind, QueryOutcome, QueryRequest, ShardedFleet};
+use mbb_serve::{
+    QueryKind, QueryOutcome, QueryRequest, ShardedFleet, StreamConfig, StreamEvent, StreamServer,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two shards with different shapes: a skewed power-law region and a
@@ -35,11 +38,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut fleet = ShardedFleet::new();
     fleet.add_shard("west", west)?.add_shard("east", east)?;
-    let executor = BatchExecutor::new(fleet, 2);
+    let server = StreamServer::new(
+        fleet,
+        StreamConfig {
+            workers: 2,
+            ..StreamConfig::default()
+        },
+    );
 
     // A mixed batch: exact solves, rankings, per-vertex/per-edge
-    // queries, and one deliberately unroutable request to show the
-    // rejection path. Ids are client-chosen and echoed in responses.
+    // queries, one deliberately unroutable request to show the
+    // rejection path, and one zero-budget request to show shedding. Ids
+    // are client-chosen and echoed in responses.
     let batch = vec![
         QueryRequest::new(1, QueryKind::Solve).on_graph("west"),
         QueryRequest::new(2, QueryKind::Topk { k: 3 })
@@ -61,12 +71,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         QueryRequest::new(8, QueryKind::Frontier).on_graph("east"),
         QueryRequest::new(9, QueryKind::Solve), // no graph id: hash-routed
         QueryRequest::new(10, QueryKind::Solve).on_graph("north"), // no such shard
+        QueryRequest::new(11, QueryKind::Meb)
+            .on_graph("west")
+            .with_deadline(Duration::ZERO), // budget gone on arrival
     ];
 
-    let report = executor.run_batch(batch);
+    let started = Instant::now();
+    let (events, stats) = server.run_batch(batch);
+    let wall_clock = started.elapsed();
 
     println!("responses (request order):");
-    for response in &report.responses {
+    for event in &events {
+        let response = match event {
+            StreamEvent::Response(response) => response,
+            StreamEvent::Shed {
+                id, kind, reason, ..
+            } => {
+                println!("  #{id:<2} {kind:<12} SHED: {reason}");
+                continue;
+            }
+            other => unreachable!("a batch yields responses and sheds only: {other:?}"),
+        };
         match &response.outcome {
             QueryOutcome::Rejected { reason } => {
                 println!(
@@ -90,12 +115,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let stats = &report.stats;
     println!(
-        "\nbatch: {} requests ({} rejected) in {:.2} ms wall clock",
-        stats.requests,
+        "\nbatch: {} requests ({} rejected, {} shed) in {:.2} ms wall clock",
+        events.len(),
         stats.rejected,
-        stats.wall_clock.as_secs_f64() * 1e3
+        stats.shed,
+        wall_clock.as_secs_f64() * 1e3
     );
     println!(
         "       {} index-reuse hits, max queue wait {:.2} ms, total service {:.2} ms",
@@ -106,18 +131,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for shard in &stats.per_shard {
         println!(
             "       shard {:<5} served {} requests, {} search nodes, {} reuse hits",
-            shard.shard, shard.requests, shard.search_nodes, shard.index_reuse_hits
+            shard.shard, shard.served, shard.search_nodes, shard.index_reuse_hits
         );
     }
 
     // The invariants the service relies on.
-    assert_eq!(report.responses.len(), 10);
+    assert_eq!(events.len(), 11);
     assert_eq!(stats.rejected, 1);
-    assert!(report
-        .responses
-        .iter()
-        .filter(|r| !r.outcome.is_rejected())
-        .all(|r| r.termination.is_complete()));
+    assert_eq!(stats.shed, 1);
+    assert!(matches!(events[10], StreamEvent::Shed { id: 11, .. }));
+    assert!(events.iter().all(|e| match e {
+        StreamEvent::Response(r) => r.outcome.is_rejected() || r.termination.is_complete(),
+        _ => true,
+    }));
     // The repeated solves on each shard reused the session indices.
     assert!(stats.index_reuse_hits >= 1);
     println!("\nall invariants hold");

@@ -2,16 +2,21 @@
 //! equal direct per-engine queries, terminations must be honest under
 //! mixed budgets, and routing must be deterministic.
 
+use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use mbb_bigraph::generators;
-use mbb_bigraph::graph::{BipartiteGraph, Vertex};
+use mbb_bigraph::graph::BipartiteGraph;
 use mbb_core::budget::{CancelToken, Termination};
 use mbb_core::engine::MbbEngine;
-use mbb_core::enumerate::EnumConfig;
 use mbb_core::Stage;
 use mbb_serve::jsonl::{encode_report, parse_requests};
-use mbb_serve::{BatchExecutor, QueryKind, QueryOutcome, QueryRequest, ShardedFleet};
+use mbb_serve::{
+    QueryKind, QueryOutcome, QueryRequest, QueryResponse, ServeStats, ShardedFleet, StreamConfig,
+    StreamEvent, StreamServer,
+};
+use mbb_tests::{all_kinds, direct};
 use proptest::prelude::*;
 use serde_json::Value;
 
@@ -27,89 +32,22 @@ fn shard_graphs() -> Vec<(&'static str, BipartiteGraph)> {
     ]
 }
 
-/// All nine query kinds against one shard. `(u, v)` is a known edge of
-/// the shard graph so the anchored-edge query has a witness.
-fn all_kinds(graph: &BipartiteGraph) -> Vec<QueryKind> {
-    let (u, v) = graph.edges().next().expect("test graphs have edges");
-    vec![
-        QueryKind::Solve,
-        QueryKind::Topk { k: 3 },
-        QueryKind::Anchored {
-            vertex: Vertex::left(u),
+/// A batch server over `fleet` with `workers` workers.
+fn server(fleet: ShardedFleet, workers: usize) -> StreamServer {
+    StreamServer::new(
+        fleet,
+        StreamConfig {
+            workers,
+            ..StreamConfig::default()
         },
-        QueryKind::AnchoredEdge { u, v },
-        QueryKind::Weighted {
-            weights: vec![1; graph.num_vertices()],
-        },
-        QueryKind::Meb,
-        QueryKind::Frontier,
-        QueryKind::SizeConstrained { a: 2, b: 2 },
-        QueryKind::Enumerate {
-            min_left: 1,
-            min_right: 1,
-            max_results: None,
-        },
-        // A repeat solve: same answer, but served from the session's
-        // cached indices — the reuse the batch report must surface.
-        QueryKind::Solve,
-    ]
+    )
 }
 
-/// Runs `kind` directly on `engine` (no service in between) and returns
-/// `(headline size, termination)` in the same normalisation the batch
-/// outcome uses.
-fn direct(engine: &MbbEngine, kind: &QueryKind) -> (usize, Termination) {
-    match kind {
-        QueryKind::Solve => {
-            let r = engine.solve();
-            (r.value.half_size(), r.termination)
-        }
-        QueryKind::Topk { k } => {
-            let r = engine.topk(*k);
-            (
-                r.value.iter().map(|b| b.balanced_size()).max().unwrap_or(0),
-                r.termination,
-            )
-        }
-        QueryKind::Anchored { vertex } => {
-            let r = engine.anchored(*vertex);
-            (r.value.half_size(), r.termination)
-        }
-        QueryKind::AnchoredEdge { u, v } => {
-            let r = engine.anchored_edge(*u, *v);
-            (r.value.map_or(0, |b| b.half_size()), r.termination)
-        }
-        QueryKind::Weighted { weights } => {
-            let r = engine.weighted(weights);
-            (r.value.weight as usize, r.termination)
-        }
-        QueryKind::Meb => {
-            let r = engine.meb();
-            (r.value.edges(), r.termination)
-        }
-        QueryKind::Frontier => {
-            let r = engine.frontier();
-            (r.value.mbb_half(), r.termination)
-        }
-        QueryKind::SizeConstrained { a, b } => {
-            let r = engine.size_constrained(*a, *b);
-            (
-                r.value.map_or(0, |w| w.left.len().min(w.right.len())),
-                r.termination,
-            )
-        }
-        QueryKind::Enumerate { .. } => {
-            let r = engine.enumerate(EnumConfig::default());
-            (
-                r.value
-                    .bicliques
-                    .iter()
-                    .map(|b| b.balanced_size())
-                    .max()
-                    .unwrap_or(0),
-                r.termination,
-            )
-        }
+/// The response inside an event; panics on any other event kind.
+fn response(event: &StreamEvent) -> &QueryResponse {
+    match event {
+        StreamEvent::Response(response) => response,
+        other => panic!("expected a response, got {other:?}"),
     }
 }
 
@@ -128,17 +66,21 @@ fn three_shard_mixed_batch_matches_sequential_single_engine_calls() {
     for (id, graph) in shard_graphs() {
         // An isolated engine per shard: the sequential reference path.
         let engine = MbbEngine::new(graph);
-        for kind in all_kinds(engine.graph()) {
+        let mut kinds = all_kinds(engine.graph());
+        // A repeat solve: same answer, but served from the session's
+        // cached indices — the reuse the batch stats must surface.
+        kinds.push(QueryKind::Solve);
+        for kind in kinds {
             expected.push(direct(&engine, &kind));
             requests.push(QueryRequest::new(requests.len() as u64, kind).on_graph(id));
         }
     }
     assert!(requests.len() >= 20, "30 mixed requests expected");
 
-    let executor = BatchExecutor::new(fleet, 3);
-    let report = executor.run_batch(requests);
-    assert_eq!(report.responses.len(), expected.len());
-    for (response, (size, termination)) in report.responses.iter().zip(&expected) {
+    let (events, stats) = server(fleet, 3).run_batch(requests);
+    assert_eq!(events.len(), expected.len());
+    for (event, (size, termination)) in events.iter().zip(&expected) {
+        let response = response(event);
         assert!(
             !response.outcome.is_rejected(),
             "id {}: {:?}",
@@ -160,11 +102,11 @@ fn three_shard_mixed_batch_matches_sequential_single_engine_calls() {
         }
     }
     // Every shard served its ten requests (nine kinds + repeat solve).
-    for shard in &report.stats.per_shard {
-        assert_eq!(shard.requests, 10, "shard {}", shard.shard);
+    for shard in &stats.per_shard {
+        assert_eq!(shard.served, 10, "shard {}", shard.shard);
     }
     // Repeated queries on one session scored index reuse.
-    assert!(report.stats.index_reuse_hits >= 3);
+    assert!(stats.index_reuse_hits >= 3);
 }
 
 /// Solved payloads coming out of a batch are valid bicliques of the
@@ -175,47 +117,59 @@ fn batch_payloads_are_valid_bicliques() {
     for (id, graph) in shard_graphs() {
         fleet.add_shard(id, graph).unwrap();
     }
-    let executor = BatchExecutor::new(fleet, 2);
+    let server = server(fleet, 2);
     let requests: Vec<QueryRequest> = shard_graphs()
         .iter()
         .enumerate()
         .map(|(i, (id, _))| QueryRequest::new(i as u64, QueryKind::Solve).on_graph(*id))
         .collect();
-    let report = executor.run_batch(requests);
-    for (i, response) in report.responses.iter().enumerate() {
-        let engine = executor.fleet().engine(i);
+    let (events, _) = server.run_batch(requests);
+    for (i, event) in events.iter().enumerate() {
+        let engine = server.fleet().engine(i);
         let graph = engine.graph();
-        match &response.outcome {
+        match &response(event).outcome {
             QueryOutcome::Solve(b) => assert!(b.is_valid(graph), "shard {i}"),
             other => panic!("unexpected outcome {other:?}"),
         }
     }
 }
 
-/// One batch whose requests end in all three `Termination` variants:
-/// unbudgeted → `Complete`, an already-expired deadline →
-/// `DeadlineExceeded`, an already-fired cancel token → `Cancelled`.
+/// One batch whose requests end in all three `Termination` variants,
+/// plus a shed: unbudgeted → `Complete`, a positive deadline the request
+/// cannot meet → `DeadlineExceeded`, an already-fired cancel token →
+/// `Cancelled`, and a zero budget → shed without executing.
 #[test]
 fn mixed_deadline_batch_hits_all_three_terminations() {
     // Dense enough that stage 1 cannot prove optimality, so budget
-    // checks actually observe the expired deadline / fired token.
+    // checks actually observe the fired token; full enumeration of it
+    // cannot finish, so it runs to its deadline.
     let mut fleet = ShardedFleet::new();
     fleet
         .add_shard("dense", generators::dense_uniform(40, 40, 0.8, 3))
         .unwrap();
     let token = CancelToken::new();
     token.cancel();
-    let executor = BatchExecutor::new(fleet, 2);
-    let report = executor.run_batch(vec![
+    let full_enumeration = QueryKind::Enumerate {
+        min_left: 1,
+        min_right: 1,
+        max_results: None,
+    };
+    let (events, stats) = server(fleet, 2).run_batch(vec![
         QueryRequest::new(0, QueryKind::Solve).on_graph("dense"),
-        QueryRequest::new(1, QueryKind::Solve)
+        QueryRequest::new(1, full_enumeration)
             .on_graph("dense")
-            .with_deadline(Duration::ZERO),
+            .with_deadline(Duration::from_millis(200)),
         QueryRequest::new(2, QueryKind::Solve)
             .on_graph("dense")
             .with_cancel(token),
+        QueryRequest::new(3, QueryKind::Solve)
+            .on_graph("dense")
+            .with_deadline(Duration::ZERO),
     ]);
-    let terminations: Vec<Termination> = report.responses.iter().map(|r| r.termination).collect();
+    let terminations: Vec<Termination> = events[..3]
+        .iter()
+        .map(|e| response(e).termination)
+        .collect();
     assert_eq!(
         terminations,
         vec![
@@ -224,10 +178,16 @@ fn mixed_deadline_batch_hits_all_three_terminations() {
             Termination::Cancelled,
         ]
     );
+    assert!(
+        matches!(&events[3], StreamEvent::Shed { id: 3, .. }),
+        "a zero budget is shed: {:?}",
+        events[3]
+    );
+    assert_eq!((stats.completed, stats.shed), (3, 1));
     // Anytime semantics: the complete solve dominates the budgeted ones.
-    let complete = report.responses[0].outcome.headline_size();
-    for r in &report.responses[1..] {
-        assert!(r.outcome.headline_size() <= complete);
+    let complete = response(&events[0]).outcome.headline_size();
+    for e in &events[1..3] {
+        assert!(response(e).outcome.headline_size() <= complete);
     }
 }
 
@@ -252,9 +212,8 @@ fn jsonl_batch_output_round_trips() {
         .unwrap()
         .add_shard("b", generators::uniform_edges(10, 10, 45, 32))
         .unwrap();
-    let executor = BatchExecutor::new(fleet, 2);
-    let report = executor.run_batch(requests);
-    let output = encode_report(&report, true);
+    let (events, stats) = server(fleet, 2).run_batch(requests);
+    let output = encode_report(&events, Some((&stats, Duration::from_millis(1))));
     let lines: Vec<&str> = output.lines().collect();
     assert_eq!(lines.len(), 6, "5 responses + stats line");
 
@@ -271,6 +230,75 @@ fn jsonl_batch_output_round_trips() {
     let stats: Value = serde_json::from_str(lines[5]).unwrap();
     assert_eq!(stats["batch"]["requests"].as_u64(), Some(5));
     assert_eq!(stats["batch"]["rejected"].as_u64(), Some(1));
+    assert_eq!(stats["batch"]["shed"].as_u64(), Some(0));
+}
+
+/// How one request ended, in the terms both serving paths share: the
+/// outcome kind (`answer`, `invalid` or `shed`) plus, for answers, the
+/// termination and headline size.
+fn outcome_of(event: &StreamEvent) -> (u64, String) {
+    match event {
+        StreamEvent::Response(r) if r.outcome.is_rejected() => (r.id, "invalid".to_string()),
+        StreamEvent::Response(r) => (
+            r.id,
+            format!(
+                "answer {} size {}",
+                r.termination,
+                r.outcome.headline_size()
+            ),
+        ),
+        StreamEvent::Shed { id, .. } => (*id, "shed".to_string()),
+        other => panic!("unexpected event {other:?}"),
+    }
+}
+
+/// One request file, two ways in: `run_batch` (what `mbb serve-batch`
+/// runs) and the line-at-a-time `serve_with` loop (what `mbb serve`
+/// runs) must give every request the same outcome kind and
+/// termination — including a zero budget (shed by both), an unroutable
+/// graph and an invalid parameter (rejected by both).
+#[test]
+fn batch_and_stream_agree_on_every_outcome() {
+    let text = r#"
+{"id": 1, "graph": "a", "kind": "solve"}
+{"id": 2, "graph": "a", "kind": "solve", "deadline_ms": 0}
+{"id": 3, "graph": "b", "kind": "topk", "k": 2}
+{"id": 4, "graph": "nowhere", "kind": "solve"}
+{"id": 5, "graph": "b", "kind": "topk", "k": 0}
+{"id": 6, "graph": "a", "kind": "anchored", "side": "left", "vertex": 99}
+{"id": 7, "kind": "meb", "deadline_ms": 0}
+{"id": 8, "graph": "b", "kind": "frontier", "deadline_ms": 60000}
+{"id": 9, "kind": "size_constrained", "a": 2, "b": 2}
+"#;
+    let fleet = || {
+        let mut fleet = ShardedFleet::new();
+        fleet
+            .add_shard("a", generators::uniform_edges(12, 12, 55, 41))
+            .unwrap()
+            .add_shard("b", generators::uniform_edges(10, 11, 48, 42))
+            .unwrap();
+        fleet
+    };
+    let (batch_events, batch_stats) = server(fleet(), 2).run_batch(parse_requests(text).unwrap());
+    let streamed = Mutex::new(Vec::new());
+    let stream_stats = server(fleet(), 2).serve_with(text.as_bytes(), |e| {
+        streamed.lock().unwrap().push(e);
+    });
+
+    let batch: HashMap<u64, String> = batch_events.iter().map(outcome_of).collect();
+    let stream: HashMap<u64, String> = streamed
+        .into_inner()
+        .unwrap()
+        .iter()
+        .map(outcome_of)
+        .collect();
+    assert_eq!(batch.len(), 9, "one event per request");
+    assert_eq!(batch, stream);
+    assert_eq!(batch[&2], "shed");
+    assert_eq!(batch[&4], "invalid");
+    let counters = |s: &ServeStats| (s.admitted, s.completed, s.shed, s.rejected);
+    assert_eq!(counters(&batch_stats), (4, 4, 2, 3));
+    assert_eq!(counters(&batch_stats), counters(&stream_stats));
 }
 
 proptest! {
@@ -293,7 +321,7 @@ proptest! {
             .unwrap()
             .add_shard("b", graph_b.clone())
             .unwrap();
-        let executor = BatchExecutor::new(fleet, workers);
+        let server = server(fleet, workers);
 
         let kinds = [
             QueryKind::Solve,
@@ -312,8 +340,10 @@ proptest! {
                 );
             }
         }
-        let report = executor.run_batch(requests);
-        for (response, (size, termination)) in report.responses.iter().zip(&expected) {
+        let (events, _) = server.run_batch(requests);
+        prop_assert_eq!(events.len(), expected.len());
+        for (event, (size, termination)) in events.iter().zip(&expected) {
+            let response = response(event);
             prop_assert_eq!(response.outcome.headline_size(), *size);
             prop_assert_eq!(response.termination, *termination);
         }

@@ -10,12 +10,11 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use mbb_bigraph::generators;
-use mbb_bigraph::graph::{BipartiteGraph, Vertex};
-use mbb_core::budget::Termination;
+use mbb_bigraph::graph::BipartiteGraph;
 use mbb_core::engine::MbbEngine;
-use mbb_core::enumerate::EnumConfig;
 use mbb_serve::jsonl::encode_request;
 use mbb_serve::{QueryKind, QueryRequest, ShardedFleet, StreamConfig, StreamEvent, StreamServer};
+use mbb_tests::{all_kinds, direct};
 use proptest::prelude::*;
 
 /// The two shard graphs of the equivalence suite; regenerating from the
@@ -26,87 +25,6 @@ fn shard_graphs() -> Vec<(&'static str, BipartiteGraph)> {
         ("alpha", generators::uniform_edges(14, 14, 62, 31)),
         ("beta", generators::uniform_edges(12, 15, 58, 32)),
     ]
-}
-
-/// All nine query kinds against one shard graph.
-fn all_kinds(graph: &BipartiteGraph) -> Vec<QueryKind> {
-    let (u, v) = graph.edges().next().expect("test graphs have edges");
-    vec![
-        QueryKind::Solve,
-        QueryKind::Topk { k: 3 },
-        QueryKind::Anchored {
-            vertex: Vertex::left(u),
-        },
-        QueryKind::AnchoredEdge { u, v },
-        QueryKind::Weighted {
-            weights: vec![1; graph.num_vertices()],
-        },
-        QueryKind::Meb,
-        QueryKind::Frontier,
-        QueryKind::SizeConstrained { a: 2, b: 2 },
-        QueryKind::Enumerate {
-            min_left: 1,
-            min_right: 1,
-            max_results: None,
-        },
-    ]
-}
-
-/// Runs `kind` directly on `engine` (no service in between), returning
-/// `(headline size, termination)` in the batch outcome's normalisation.
-fn direct(engine: &MbbEngine, kind: &QueryKind) -> (usize, Termination) {
-    match kind {
-        QueryKind::Solve => {
-            let r = engine.solve();
-            (r.value.half_size(), r.termination)
-        }
-        QueryKind::Topk { k } => {
-            let r = engine.topk(*k);
-            (
-                r.value.iter().map(|b| b.balanced_size()).max().unwrap_or(0),
-                r.termination,
-            )
-        }
-        QueryKind::Anchored { vertex } => {
-            let r = engine.anchored(*vertex);
-            (r.value.half_size(), r.termination)
-        }
-        QueryKind::AnchoredEdge { u, v } => {
-            let r = engine.anchored_edge(*u, *v);
-            (r.value.map_or(0, |b| b.half_size()), r.termination)
-        }
-        QueryKind::Weighted { weights } => {
-            let r = engine.weighted(weights);
-            (r.value.weight as usize, r.termination)
-        }
-        QueryKind::Meb => {
-            let r = engine.meb();
-            (r.value.edges(), r.termination)
-        }
-        QueryKind::Frontier => {
-            let r = engine.frontier();
-            (r.value.mbb_half(), r.termination)
-        }
-        QueryKind::SizeConstrained { a, b } => {
-            let r = engine.size_constrained(*a, *b);
-            (
-                r.value.map_or(0, |w| w.left.len().min(w.right.len())),
-                r.termination,
-            )
-        }
-        QueryKind::Enumerate { .. } => {
-            let r = engine.enumerate(EnumConfig::default());
-            (
-                r.value
-                    .bicliques
-                    .iter()
-                    .map(|b| b.balanced_size())
-                    .max()
-                    .unwrap_or(0),
-                r.termination,
-            )
-        }
-    }
 }
 
 /// Streams `requests` (as JSONL, in the given order) through a fresh
@@ -232,8 +150,8 @@ fn stream_pinned(
 }
 
 /// Cross-batch EDF: while the single worker is pinned, a tight-deadline
-/// request arriving *after* a slack one overtakes it — the ordering no
-/// single `run_batch` call could provide across arrivals.
+/// request arriving *after* a slack one overtakes it — EDF holds across
+/// arrivals, not just within requests admitted together.
 #[test]
 fn later_tight_deadline_overtakes_queued_slack_requests() {
     let requests = vec![
@@ -508,6 +426,16 @@ fn metrics_control_reports_quantiles_and_matches_stats() {
         );
     }
     assert!(report.service.sum > 0, "three solves take nonzero time");
+    // The stats time totals are read from the same histograms, so after
+    // the drain they equal the histogram sums exactly.
+    assert_eq!(
+        stats.total_service,
+        Duration::from_nanos(report.service.sum)
+    );
+    assert_eq!(
+        stats.total_queue_wait,
+        Duration::from_nanos(report.queue_wait.sum)
+    );
 
     // (c) Wire shape: quantile fields in ms under "metrics", stats
     // sub-object identical to the standalone verb's payload.
